@@ -14,7 +14,9 @@
  *  - requests/sec: end-to-end logical accesses per host second for a
  *    fixed-sample closed-loop run (allocations/access alongside);
  *  - mapping ns/op: Layout::map() latency per family, exercising the
- *    precomputed mapping tables.
+ *    precomputed mapping tables;
+ *  - zipf sampler set-up ms: OffsetSampler construction, cold (empty
+ *    harmonic prefix table) and warm.
  *
  * Results flow through the PR-1 harness into BENCH_engine.json so the
  * perf trajectory is tracked run over run. Host timing is inherently
@@ -24,6 +26,7 @@
  * regression.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -33,6 +36,7 @@
 
 #include "bench_util.hh"
 #include "sim/event_queue.hh"
+#include "traffic/offset_dist.hh"
 #include "util/rng.hh"
 
 // ---------------------------------------------------------------------
@@ -297,6 +301,36 @@ runMappingRate(const Layout &layout, harness::Extras &extras)
     return result;
 }
 
+/**
+ * Zipf sampler set-up: an OffsetSampler's construction is the
+ * harmonic sum zeta(domain). Cold is the first build at its theta,
+ * which fills the shared prefix table with O(domain) pow() calls (no
+ * other row samples zipf, so the table is empty); warm is the median
+ * of later builds, each resuming from the checkpoint below `domain`.
+ */
+SimResult
+runZipfSetup(int64_t domain, harness::Extras &extras)
+{
+    traffic::OffsetSpec spec;
+    spec.kind = traffic::OffsetSpec::Kind::Zipf;
+    spec.theta = 0.99;
+    auto build_ms = [&spec, domain] {
+        const auto start = Clock::now();
+        const traffic::OffsetSampler sampler(spec, domain);
+        return secondsSince(start) * 1e3;
+    };
+
+    const double cold_ms = build_ms();
+    std::vector<double> warm_ms;
+    for (int i = 0; i < 9; ++i)
+        warm_ms.push_back(build_ms());
+    std::nth_element(warm_ms.begin(), warm_ms.begin() + 4, warm_ms.end());
+
+    extras.emplace_back("cold_ms", cold_ms);
+    extras.emplace_back("warm_ms", warm_ms[4]);
+    return SimResult{};
+}
+
 struct CheckLimits
 {
     double min_events_per_s = 2e6;
@@ -347,7 +381,8 @@ main(int argc, char **argv)
     bench::BenchCli cli(
         argv[0],
         "Engine microbenchmark: events/sec, requests/sec, mapping "
-        "ns/op and allocations/event of the simulation core "
+        "ns/op, zipf sampler set-up ms and allocations/event of the "
+        "simulation core "
         "(host-time based; rows are not run-to-run deterministic).");
     cli.addBool("check",
                 "enforce CI floors (events/sec, allocations/"
@@ -406,10 +441,25 @@ main(int argc, char **argv)
         experiments.push_back(std::move(experiment));
     }
 
+    {
+        // The data units of bench_autotune's baseline volume.
+        const int64_t domain = 2274480;
+        harness::Experiment experiment;
+        experiment.point = {"Engine",
+                            "zipf_setup/" + std::to_string(domain), 0,
+                            0, AccessType::Read, ArrayMode::FaultFree};
+        experiment.custom = [domain](uint64_t,
+                                     harness::Extras &extras) {
+            return runZipfSetup(domain, extras);
+        };
+        experiments.push_back(std::move(experiment));
+    }
+
     harness::RunSummary summary = bench::runGrid(
         "Engine",
         "Simulation-core microbenchmark: events/sec, requests/sec, "
-        "mapping ns/op, allocations/event (host-time based)",
+        "mapping ns/op, zipf set-up ms, allocations/event (host-time "
+        "based)",
         experiments);
 
     std::printf("Engine microbenchmark\n");

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <mutex>
+#include <vector>
 
 namespace pddl {
 namespace traffic {
@@ -30,7 +33,61 @@ parseDouble(const std::string &text, double &out)
  */
 constexpr uint64_t kScrambleSeed = 0x7ea75c4a1b0ffeedULL;
 
+/** Term i of the harmonic sum zeta(n, theta). */
+double
+zetaTerm(int64_t i, double theta)
+{
+    return 1.0 / std::pow(static_cast<double>(i), theta);
+}
+
+/**
+ * zipfZeta's checkpoints: per theta, entry j is the running sum after
+ * j * kZipfZetaStride terms. Append-only, so a value once stored
+ * never changes and the order of requests cannot affect any result.
+ */
+struct ZetaCheckpoints
+{
+    std::mutex mutex;
+    std::map<double, std::vector<double>> sums; // guarded by mutex
+};
+
+ZetaCheckpoints &
+zetaCheckpoints()
+{
+    static ZetaCheckpoints checkpoints;
+    return checkpoints;
+}
+
 } // namespace
+
+double
+zipfZeta(int64_t n, double theta)
+{
+    assert(n >= 0);
+    const int64_t last = n / kZipfZetaStride;
+    double sum = 0.0;
+    {
+        ZetaCheckpoints &checkpoints = zetaCheckpoints();
+        std::lock_guard<std::mutex> lock(checkpoints.mutex);
+        std::vector<double> &sums = checkpoints.sums[theta];
+        if (sums.empty())
+            sums.push_back(0.0);
+        while (static_cast<int64_t>(sums.size()) <= last) {
+            const int64_t begin =
+                static_cast<int64_t>(sums.size() - 1) * kZipfZetaStride;
+            double next = sums.back();
+            for (int64_t i = begin + 1; i <= begin + kZipfZetaStride; ++i)
+                next += zetaTerm(i, theta);
+            sums.push_back(next);
+        }
+        sum = sums[static_cast<size_t>(last)];
+    }
+    // The tail past the checkpoint continues the same sequential sum,
+    // so the result is the double the plain 1..n loop produces.
+    for (int64_t i = last * kZipfZetaStride + 1; i <= n; ++i)
+        sum += zetaTerm(i, theta);
+    return sum;
+}
 
 bool
 parseOffsetSpec(const std::string &text, OffsetSpec &spec,
@@ -104,14 +161,11 @@ OffsetSampler::OffsetSampler(const OffsetSpec &spec,
         return;
     assert(spec_.theta > 0.0 && spec_.theta < 1.0);
     // Gray et al. "Quickly generating billion-record synthetic
-    // databases" (the YCSB ZipfianGenerator): one O(n) harmonic
-    // precompute, then one uniform draw per sample.
+    // databases" (the YCSB ZipfianGenerator): the harmonic sum from
+    // the shared prefix table, then one uniform draw per sample.
     const double theta = spec_.theta;
     const double n = static_cast<double>(domain_);
-    double zeta = 0.0;
-    for (int64_t i = 1; i <= domain_; ++i)
-        zeta += 1.0 / std::pow(static_cast<double>(i), theta);
-    zeta_n_ = zeta;
+    zeta_n_ = zipfZeta(domain_, theta);
     alpha_ = 1.0 / (1.0 - theta);
     const double zeta2 = 1.0 + std::pow(0.5, theta);
     eta_ = (1.0 - std::pow(2.0 / n, 1.0 - theta)) /

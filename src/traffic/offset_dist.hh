@@ -17,7 +17,10 @@
  *  - Zipf: rank-frequency skew with exponent theta in (0, 1) (the
  *    YCSB convention; 0.99 is the classic "zipfian" workload),
  *    sampled with the Gray et al. closed-form generator -- one
- *    uniform draw per sample, O(domain) one-time zeta precompute.
+ *    uniform draw per sample after the harmonic sum zeta(domain),
+ *    read from a process-wide prefix table (zipfZeta below) so only
+ *    the first sampler at a theta pays O(domain) and later ones at
+ *    most one table stride.
  *    Ranks are scrambled across the address space with a stateless
  *    hash so the hot set is spread over the volume (and over its
  *    shards) instead of clustered at offset zero.
@@ -69,6 +72,24 @@ bool parseOffsetSpec(const std::string &text, OffsetSpec &spec,
 
 /** Canonical spec label ("uniform", "zipf:0.99", "hot:0.1,0.9"). */
 std::string offsetSpecName(const OffsetSpec &spec);
+
+/** Terms between two checkpoints of zipfZeta's prefix table. */
+constexpr int64_t kZipfZetaStride = 65536;
+
+/**
+ * The Gray et al. harmonic sum zeta(n, theta) = sum over i = 1..n of
+ * 1 / i^theta, bit-identical to adding the terms in order 1..n.
+ *
+ * Backed by one process-wide, append-only table per theta holding
+ * the exact running sum at every multiple of kZipfZetaStride (8 bytes
+ * per stride: about 9 KB for 72.8 M terms). A call resumes the same
+ * sequential sum from the checkpoint at or below n, so it adds the
+ * same terms in the same order and returns the same double; it costs
+ * fewer than kZipfZetaStride pow() calls once any n' >= n has been
+ * asked at this theta. Thread-safe (one mutex); results do not
+ * depend on which thread asked first.
+ */
+double zipfZeta(int64_t n, double theta);
 
 /**
  * Seeded sampler of start offsets over a fixed domain of

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "array/controller.hh"
@@ -160,6 +161,123 @@ TEST(OffsetSamplerTest, HotSpotPutsTheWeightOnTheHotRegion)
             ++hot;
     }
     EXPECT_NEAR(static_cast<double>(hot) / draws, 0.9, 0.02);
+}
+
+/** The reference: the plain sequential sum over i = 1..n. */
+double
+naiveZeta(int64_t n, double theta)
+{
+    double zeta = 0.0;
+    for (int64_t i = 1; i <= n; ++i)
+        zeta += 1.0 / std::pow(static_cast<double>(i), theta);
+    return zeta;
+}
+
+/** Domains around the checkpoints, in ascending order. */
+std::vector<int64_t>
+zetaProbes()
+{
+    const int64_t stride = traffic::kZipfZetaStride;
+    return {1, 2, stride - 1, stride, stride + 1, 3 * stride + 17,
+            40 * stride};
+}
+
+/**
+ * Query `order` (indices into zetaProbes()) and then its reverse,
+ * comparing every result bitwise with the sequential sum.
+ */
+void
+expectZetaBitsInOrder(const std::vector<size_t> &order)
+{
+    const std::vector<int64_t> probes = zetaProbes();
+    for (double theta : {0.5, 0.99}) {
+        std::vector<double> expected;
+        for (int64_t n : probes)
+            expected.push_back(naiveZeta(n, theta));
+        std::vector<size_t> both = order;
+        both.insert(both.end(), order.rbegin(), order.rend());
+        for (size_t k : both) {
+            EXPECT_EQ(traffic::zipfZeta(probes[k], theta), expected[k])
+                << "n " << probes[k] << " theta " << theta;
+        }
+    }
+}
+
+TEST(ZipfZeta, DescendingQueriesMatchTheSequentialSumBitwise)
+{
+    // The largest query fills the table in one pass; every smaller
+    // one then resumes from a checkpoint it did not compute itself.
+    expectZetaBitsInOrder({6, 5, 4, 3, 2, 1, 0});
+}
+
+TEST(ZipfZeta, AscendingQueriesMatchTheSequentialSumBitwise)
+{
+    // Each query extends the table from the previous checkpoint.
+    expectZetaBitsInOrder({0, 1, 2, 3, 4, 5, 6});
+}
+
+TEST(ZipfZeta, SamplerDrawsDoNotDependOnWhatWarmedTheTable)
+{
+    const int64_t stride = traffic::kZipfZetaStride;
+    const int64_t domain = 5 * stride + 123;
+    OffsetSpec spec;
+    spec.kind = OffsetSpec::Kind::Zipf;
+    spec.theta = 0.77; // no other test uses it: the table starts empty
+    auto draws = [&] {
+        OffsetSampler sampler(spec, domain);
+        Rng rng(19);
+        std::vector<int64_t> out;
+        for (int i = 0; i < 4000; ++i)
+            out.push_back(sampler.sample(rng, domain - 1));
+        return out;
+    };
+    const std::vector<int64_t> fresh = draws();
+    traffic::zipfZeta(40 * stride, spec.theta); // warm past the domain
+    EXPECT_EQ(draws(), fresh);
+}
+
+TEST(ZipfZeta, ConcurrentSamplerBuildsAgreeWithTheSerialSums)
+{
+    // Thetas no other test uses, so the threads race on empty
+    // tables. Every thread builds the shared domain (overlapping
+    // checkpoints) and one of its own in a different stride block.
+    const int64_t stride = traffic::kZipfZetaStride;
+    const std::vector<double> thetas = {0.61, 0.83};
+    const std::vector<std::vector<int64_t>> domains = {
+        {6 * stride + 9, 1},
+        {6 * stride + 9, 2 * stride - 1},
+        {6 * stride + 9, 4 * stride + 500},
+        {6 * stride + 9, 9 * stride + 3},
+    };
+
+    std::vector<std::vector<double>> serial(domains.size());
+    for (size_t t = 0; t < domains.size(); ++t) {
+        for (double theta : thetas) {
+            for (int64_t n : domains[t])
+                serial[t].push_back(naiveZeta(n, theta));
+        }
+    }
+
+    std::vector<std::vector<double>> parallel(domains.size());
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < domains.size(); ++t) {
+        threads.emplace_back([&, t] {
+            for (double theta : thetas) {
+                OffsetSpec spec;
+                spec.kind = OffsetSpec::Kind::Zipf;
+                spec.theta = theta;
+                for (int64_t n : domains[t]) {
+                    const OffsetSampler sampler(spec, n);
+                    parallel[t].push_back(traffic::zipfZeta(n, theta));
+                }
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (size_t t = 0; t < domains.size(); ++t)
+        EXPECT_EQ(parallel[t], serial[t]) << "thread " << t;
 }
 
 TEST(ArrivalSamplerTest, PoissonMatchesTheLegacyClientDraw)
