@@ -21,11 +21,12 @@
  * layout tables and integer tallies, no simulation -- so
  * BENCH_layout_scale.json is byte-identical at every --threads value
  * (deterministic_json strips the host-wall fields). The host-timed
- * perf leg (O(k) incremental swap deltas vs whole-map recompute at
- * n = 258) prints to stderr only and backs --check, which also
- * enforces bit-exact incremental-vs-audit agreement and that
- * derandomization strictly improves the worst-case single-fault
- * imbalance over its best raw seed at every swept n.
+ * perf leg (read-only O(k) swapDelta scoring vs whole-map recompute
+ * at n = 258, with apply+revert alongside) prints to stderr only and
+ * backs --check, which also enforces that swapDelta equals the cost
+ * change applySwap makes, bit-exact incremental-vs-audit agreement,
+ * and that derandomization strictly improves the worst-case
+ * single-fault imbalance over its best raw seed at every swept n.
  */
 
 #include <chrono>
@@ -186,9 +187,12 @@ checkEvaluator(bool enforce)
         randomDevelopedRows(n, k, spares, n, seed));
     int failures = 0;
 
-    // Exactness: a mixed accept/reject random walk must keep the
-    // incremental cost bit-identical to the from-scratch audit.
+    // Exactness: on a mixed accept/reject random walk, every
+    // read-only swapDelta must equal the cost change applySwap then
+    // makes, and the incremental cost must stay bit-identical to the
+    // from-scratch audit.
     Rng walk(hashMix64(seed, 0xa0d17));
+    int delta_mismatches = 0;
     for (int step = 0; step < 4000; ++step) {
         const int row = static_cast<int>(
             walk.below(static_cast<uint64_t>(n)));
@@ -199,7 +203,10 @@ checkEvaluator(bool enforce)
         if (b >= a)
             ++b;
         const int64_t before = eval.cost();
+        const int64_t delta = eval.swapDelta(row, a, b);
         eval.applySwap(row, a, b);
+        if (eval.cost() - before != delta)
+            ++delta_mismatches;
         if (walk.below(2) == 0 && eval.cost() > before)
             eval.applySwap(row, a, b);
         if (step % 1000 == 999 &&
@@ -211,6 +218,13 @@ checkEvaluator(bool enforce)
             ++failures;
         }
     }
+    if (delta_mismatches != 0) {
+        std::fprintf(stderr,
+                     "[check] FAIL swapDelta != applySwap cost change "
+                     "on %d of 4000 steps\n",
+                     delta_mismatches);
+        ++failures;
+    }
     if (eval.cost() != eval.recomputeCost()) {
         std::fprintf(stderr,
                      "[check] FAIL final incremental cost diverged "
@@ -218,28 +232,37 @@ checkEvaluator(bool enforce)
         ++failures;
     }
 
-    // Perf: candidate evaluation via O(k) delta (apply, read cost,
-    // revert) vs the O(rows * n * k) whole-map retally every
-    // candidate used to pay.
-    Rng perf(hashMix64(seed, 0x9e7f));
-    int64_t sink = 0;
+    // Perf: candidate evaluation as the search does it -- a read-only
+    // O(k) swapDelta -- vs the O(rows * n * k) whole-map retally
+    // every candidate used to pay. Apply + revert (the committing
+    // path, twice) is timed on the same swaps for comparison.
     const int incr_ops = 200000;
-    const auto incr_start = Clock::now();
-    for (int op = 0; op < incr_ops; ++op) {
-        const int row = static_cast<int>(
-            perf.below(static_cast<uint64_t>(n)));
-        const int a =
-            static_cast<int>(perf.below(static_cast<uint64_t>(n)));
-        int b = static_cast<int>(
-            perf.below(static_cast<uint64_t>(n - 1)));
-        if (b >= a)
-            ++b;
+    int64_t sink = 0;
+    auto timeCandidates = [&](auto &&candidate) {
+        Rng perf(hashMix64(seed, 0x9e7f));
+        const auto start = Clock::now();
+        for (int op = 0; op < incr_ops; ++op) {
+            const int row = static_cast<int>(
+                perf.below(static_cast<uint64_t>(n)));
+            const int a = static_cast<int>(
+                perf.below(static_cast<uint64_t>(n)));
+            int b = static_cast<int>(
+                perf.below(static_cast<uint64_t>(n - 1)));
+            if (b >= a)
+                ++b;
+            sink += candidate(row, a, b);
+        }
+        return secondsSince(start) * 1e9 / incr_ops;
+    };
+    const double incr_ns = timeCandidates([&](int row, int a, int b) {
+        return eval.swapDelta(row, a, b);
+    });
+    const double apply_ns = timeCandidates([&](int row, int a, int b) {
         eval.applySwap(row, a, b);
-        sink += eval.cost();
+        const int64_t cost = eval.cost();
         eval.applySwap(row, a, b);
-    }
-    const double incr_ns =
-        secondsSince(incr_start) * 1e9 / incr_ops;
+        return cost;
+    });
 
     const int full_ops = 200;
     const auto full_start = Clock::now();
@@ -250,9 +273,10 @@ checkEvaluator(bool enforce)
 
     const double speedup = full_ns / incr_ns;
     std::fprintf(stderr,
-                 "[perf] n=%d: incremental candidate %.0f ns, full "
-                 "recompute %.0f ns, speedup %.0fx (sink %d)\n",
-                 n, incr_ns, full_ns, speedup,
+                 "[perf] n=%d: swapDelta candidate %.0f ns (apply+"
+                 "revert %.0f ns), full recompute %.0f ns, speedup "
+                 "%.0fx (sink %d)\n",
+                 n, incr_ns, apply_ns, full_ns, speedup,
                  static_cast<int>(sink & 0xff));
     if (enforce && speedup < 10.0) {
         std::fprintf(stderr,
@@ -311,9 +335,9 @@ main(int argc, char **argv)
         "integer tallies -- BENCH_layout_scale.json is byte-identical "
         "at every --threads value.");
     cli.addBool("check",
-                "verify incremental deltas match the full-recompute "
-                "audit bit-for-bit, enforce the 10x candidate-"
-                "evaluation speedup at n >= 200, and require "
+                "verify swapDelta and the incremental deltas match the "
+                "full-recompute audit bit-for-bit, enforce the 10x "
+                "candidate-evaluation speedup at n >= 200, and require "
                 "derandomization to strictly improve worst-case "
                 "imbalance over the best raw seed at every n");
     cli.parseOrExit(argc, argv);

@@ -8,8 +8,25 @@
 
 namespace pddl {
 
+namespace {
+
+/**
+ * Development distance `to - from` mod n for values in [0, n),
+ * without `%` or a branch: the sign mask adds n to a negative
+ * difference (arithmetic shift, well-defined since C++20).
+ */
+int
+distance(int from, int to, int n)
+{
+    const int d = to - from;
+    return d + (n & (d >> 31));
+}
+
+} // namespace
+
 GroupClimber::GroupClimber(int n, int k, int p, Rng &rng, int spares)
     : n_(n), k_(k), g_((n - spares) / k), p_(p), spares_(spares),
+      bumped_(4 * static_cast<size_t>(k - 1)), net_(n / 2 + 1, 0),
       rng_(rng)
 {
     assert(n == g_ * k + spares_);
@@ -55,18 +72,19 @@ GroupClimber::climb(int64_t max_steps)
             return false; // local optimum, plateau spent
         const auto &[q, a, b] = moves[index];
         index = (index + 1) % moves.size();
-        int64_t before = cost_;
-        applySwap(q, a, b);
-        if (cost_ < before) {
+        // Score read-only; only an accepted move touches the tally.
+        const int64_t delta = swapDelta(q, a, b);
+        if (delta < 0) {
+            applySwap(q, a, b);
             sideways = 0;
             rejected_in_a_row = 0;
             ++steps;
-        } else if (cost_ == before && sideways < max_sideways) {
+        } else if (delta == 0 && sideways < max_sideways) {
+            applySwap(q, a, b);
             ++sideways;
             rejected_in_a_row = 0;
             ++steps;
         } else {
-            applySwap(q, a, b); // revert
             ++rejected_in_a_row;
         }
     }
@@ -116,8 +134,8 @@ GroupClimber::accountColumn(int q, int column, int block, int sign)
     for (int c2 = base; c2 < base + k_; ++c2) {
         if (c2 == column)
             continue;
-        bumpTally((perm[c2] - value + n_) % n_, sign);
-        bumpTally((value - perm[c2] + n_) % n_, sign);
+        bumpTally(distance(value, perm[c2], n_), sign);
+        bumpTally(distance(perm[c2], value, n_), sign);
     }
 }
 
@@ -130,8 +148,7 @@ GroupClimber::accountBlock(int q, int block, int sign)
         for (int c2 = base; c2 < base + k_; ++c2) {
             if (c2 == c)
                 continue;
-            int delta = (perm[c2] - perm[c] + n_) % n_;
-            bumpTally(delta, sign);
+            bumpTally(distance(perm[c], perm[c2], n_), sign);
         }
     }
 }
@@ -143,6 +160,68 @@ GroupClimber::bumpTally(int delta, int sign)
     tally_[delta] += sign;
     int64_t new_dev = tally_[delta] - target_;
     cost_ += new_dev * new_dev - old_dev * old_dev;
+}
+
+int64_t
+GroupClimber::swapDelta(int q, int a, int b)
+{
+    assert(a != b);
+    const int block_a = blockOfColumn(a);
+    const int block_b = blockOfColumn(b);
+    if (block_a == block_b)
+        return 0; // spare<->spare or intra-block: no difference moves
+    // A distance whose tally moves by a net c changes its squared
+    // deviation by 2*dev*c + c^2. Every pair of columns adds both d
+    // and n - d, so the tally is symmetric and each pair's two bumps
+    // fold onto one bin e = min(d, n - d): with H the net bumps of e,
+    // the two bins d, n - d change the cost by 4*dev*H + 2*H^2 (one
+    // bin n/2 when n is even: 4*dev*H + 4*H^2). A swap removes as
+    // many pairs as it adds, so target_ cancels from the linear part,
+    // which sums pair by pair. The square part needs each bin's net,
+    // because bins can collide within one swap, so pairs are netted
+    // in net_.
+    const int n = n_;
+    const int k = k_;
+    const int *const perm = perms_[q].data();
+    const int64_t *const tally = tally_.data();
+    int32_t *const net = net_.data();
+    int *bumped = bumped_.data();
+    auto fold = [n](int from, int to) {
+        const int d = distance(from, to, n);
+        return std::min(d, n - d);
+    };
+    int64_t linear = 0;
+    for (const auto &[block, column, other] :
+         {std::tuple{block_a, a, b}, std::tuple{block_b, b, a}}) {
+        if (block < 0)
+            continue;
+        // `column` trades value `out` for `in`: the pairs joining it
+        // to the rest of its block change.
+        const int out = perm[column];
+        const int in = perm[other];
+        const int base = spares_ + block * k;
+        for (int c2 = base; c2 < base + k; ++c2) {
+            if (c2 == column)
+                continue;
+            const int gone = fold(out, perm[c2]);
+            const int added = fold(in, perm[c2]);
+            linear += tally[added] - tally[gone];
+            --net[gone];
+            ++net[added];
+            *bumped++ = gone;
+            *bumped++ = added;
+        }
+    }
+    assert(bumped <= bumped_.data() + bumped_.size());
+    // Square each bin's net once: the first visit reads and clears
+    // it, so repeat visits add nothing and net_ ends all zero.
+    int64_t square = 0;
+    for (const int *it = bumped_.data(); it != bumped; ++it) {
+        const int64_t c = net[*it];
+        square += (2 * *it == n ? 4 : 2) * c * c;
+        net[*it] = 0;
+    }
+    return 4 * linear + square;
 }
 
 void

@@ -11,9 +11,10 @@
  * within one stripe block permutes values the block already holds, so
  * its difference multiset -- and the cost -- cannot change; a swap
  * across blocks only changes the differences involving the two
- * swapped columns, an O(k) update. applySwap() is its own inverse,
- * which is what lets climb() evaluate a move by applying it and
- * reverting on rejection.
+ * swapped columns, an O(k) update. climb() scores each candidate
+ * read-only with swapDelta() and calls applySwap() only for a move it
+ * accepts; applySwap() is its own inverse, which the audits and tests
+ * use to walk back and forth.
  */
 
 #ifndef PDDL_CORE_CLIMBER_HH
@@ -64,6 +65,13 @@ class GroupClimber
     bool climb(int64_t max_steps);
 
     /**
+     * The exact change in cost() that applySwap(q, a, b) would make,
+     * computed without touching the tally or the permutations, in
+     * O(k). Zero for spare<->spare and intra-block swaps.
+     */
+    int64_t swapDelta(int q, int a, int b);
+
+    /**
      * Swap entries a and b of permutation q, delta-updating the cost.
      * Self-inverse: applying the same swap again restores the state.
      */
@@ -106,6 +114,11 @@ class GroupClimber
     std::vector<std::vector<int>> perms_;
     std::vector<int64_t> tally_;
     int64_t cost_ = 0;
+    /** swapDelta() scratch: folded distances min(d, n - d) the
+     *  scored swap bumps, and the net bump per folded distance (all
+     *  zero between calls). */
+    std::vector<int> bumped_;
+    std::vector<int32_t> net_;
     Rng &rng_;
 };
 

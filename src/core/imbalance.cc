@@ -79,6 +79,56 @@ ImbalanceEvaluator::accountAgainstGroup(int disk, const int *member,
     }
 }
 
+int64_t
+ImbalanceEvaluator::swapDelta(int row, int a, int b) const
+{
+    assert(!map_.rows.empty() &&
+           "swapDelta needs row structure (not forLayout)");
+    assert(row >= 0 &&
+           row < static_cast<int>(map_.rows.size()));
+    assert(a != b && a >= 0 && b >= 0 && a < map_.n && b < map_.n);
+    const int ga = groupOfSlot(a);
+    const int gb = groupOfSlot(b);
+    if (ga == gb)
+        return 0; // spare<->spare or intra-group: no tally moves
+    const std::vector<int> &slots = map_.rows[row];
+    const int x = slots[a];
+    const int y = slots[b];
+    const size_t n = static_cast<size_t>(map_.n);
+    const int32_t *const row_x = pair_.data() + x * n;
+    const int32_t *const row_y = pair_.data() + y * n;
+    // `leaver` leaves group g and `joiner` takes its slot: for every
+    // other member m, A[leaver][m] drops by one and A[joiner][m]
+    // rises by one. A +/-1 bump of entry e changes e^2 by 2*s*e + 1,
+    // and the mirrored entries A[m][.] change identically, so the
+    // pair term is twice this sum.
+    int64_t pair_delta = 0;
+    auto exchange = [&](int g, int leaver, const int32_t *leaving,
+                        const int32_t *joining) {
+        const int *member = groupDisks(groupIndex(row, g));
+        for (int i = 0; i < map_.k; ++i) {
+            const int m = member[i];
+            if (m == leaver)
+                continue;
+            pair_delta += 2 * (static_cast<int64_t>(joining[m]) -
+                               leaving[m]) +
+                          2;
+        }
+    };
+    if (ga >= 0)
+        exchange(ga, x, row_x, row_y);
+    if (gb >= 0)
+        exchange(gb, y, row_y, row_x);
+    int64_t delta = 2 * pair_delta;
+    // A spare slot trades group duty: the spare disk gains one
+    // appearance, the disk it replaces loses one.
+    if (ga < 0)
+        delta += 2 * (group_count_[x] - group_count_[y]) + 2;
+    else if (gb < 0)
+        delta += 2 * (group_count_[y] - group_count_[x]) + 2;
+    return delta;
+}
+
 void
 ImbalanceEvaluator::applySwap(int row, int a, int b)
 {
@@ -87,10 +137,6 @@ ImbalanceEvaluator::applySwap(int row, int a, int b)
     assert(row >= 0 &&
            row < static_cast<int>(map_.rows.size()));
     assert(a != b && a >= 0 && b >= 0 && a < map_.n && b < map_.n);
-    const int g = map_.groupsPerRow();
-    auto groupOfSlot = [&](int slot) {
-        return slot < map_.spares ? -1 : (slot - map_.spares) / map_.k;
-    };
     const int ga = groupOfSlot(a);
     const int gb = groupOfSlot(b);
     std::vector<int> &slots = map_.rows[row];
@@ -102,11 +148,10 @@ ImbalanceEvaluator::applySwap(int row, int a, int b)
     }
     const int x = slots[a];
     const int y = slots[b];
-    // Group slices live in the flattened list at row * g + index.
-    int *const base = groups_.data() +
-                      (static_cast<size_t>(row) * g) * map_.k;
-    int *const slice_a = ga < 0 ? nullptr : base + ga * map_.k;
-    int *const slice_b = gb < 0 ? nullptr : base + gb * map_.k;
+    int *const slice_a =
+        ga < 0 ? nullptr : &groups_[groupIndex(row, ga) * map_.k];
+    int *const slice_b =
+        gb < 0 ? nullptr : &groups_[groupIndex(row, gb) * map_.k];
     // x leaves group a (if any), y leaves group b: retire their
     // pairings first, then re-account after the exchange. The groups
     // are distinct, so no pairing is touched twice.

@@ -14,9 +14,11 @@
  *    member once);
  *  - a candidate move is a transposition of two slots of one row.
  *    Only differences pairing a swapped disk with the rest of its
- *    group change, so the scalar cost is delta-updated in O(k) --
- *    the whole-map retally (O(rows * n * k)) exists only as the
- *    recomputeCost() audit path, mirroring GroupClimber;
+ *    group change, so swapDelta() scores a candidate read-only in
+ *    O(k) and applySwap() commits an accepted one with the same
+ *    O(k) delta update -- the whole-map retally (O(rows * n * k))
+ *    exists only as the recomputeCost() audit path, mirroring
+ *    GroupClimber;
  *  - worst/mean/RMS metrics for single- and double-fault cases are
  *    derived on demand: single-fault directly from A; double-fault
  *    (one joint reconstruction pass per damaged group) from A plus a
@@ -90,11 +92,20 @@ class ImbalanceEvaluator
     int64_t pairCost() const { return pair_sq_; }
 
     /**
+     * The exact change in cost() that applySwap(row, a, b) would
+     * make, computed read-only in O(k). The row is a permutation, so
+     * the two groups are disjoint and every pair entry the swap
+     * touches moves by exactly +/-1, once. Zero for spare<->spare
+     * and intra-group swaps. Requires row structure.
+     */
+    int64_t swapDelta(int row, int a, int b) const;
+
+    /**
      * Transpose slots a and b of row r, delta-updating the tallies
-     * and cost in O(k). Self-inverse: applying the same swap again
-     * restores the previous state exactly, which is what lets a
-     * search evaluate a candidate by applying it and reverting on
-     * rejection. Requires row structure (not forLayout()).
+     * and cost in O(k); a search calls it only for a move it
+     * accepts. Self-inverse: applying the same swap again restores
+     * the previous state exactly. Requires row structure (not
+     * forLayout()).
      */
     void applySwap(int row, int a, int b);
 
@@ -140,6 +151,20 @@ class ImbalanceEvaluator
 
     /** Group slice [g*k, (g+1)*k) of the flattened group list. */
     const int *groupDisks(size_t g) const { return &groups_[g * map_.k]; }
+
+    /** Stripe group of a row slot, or -1 for a spare slot. */
+    int
+    groupOfSlot(int slot) const
+    {
+        return slot < map_.spares ? -1 : (slot - map_.spares) / map_.k;
+    }
+
+    /** Row-slice index of a group in the flattened group list. */
+    size_t
+    groupIndex(int row, int group) const
+    {
+        return static_cast<size_t>(row) * map_.groupsPerRow() + group;
+    }
 
     void rebuildFromGroups();
 

@@ -42,12 +42,11 @@ runChain(int n, int k, int spares, int rows, int chain,
             rng.below(static_cast<uint64_t>(n - 1)));
         if (b >= a)
             ++b;
-        const int64_t before = eval.cost();
-        eval.applySwap(row, a, b);
-        if (eval.cost() <= before)
+        // Score read-only; only an accepted move touches the tallies.
+        if (eval.swapDelta(row, a, b) <= 0) {
+            eval.applySwap(row, a, b);
             ++state.summary.accepted;
-        else
-            eval.applySwap(row, a, b); // self-inverse: exact revert
+        }
     }
     state.summary.final_cost = eval.cost();
     state.summary.final_worst1 = eval.metrics(1).worst;

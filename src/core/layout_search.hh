@@ -7,8 +7,8 @@
  * The search runs C independent chains: chain c starts from the raw
  * random map of its own deterministic seed (hashMix64(c, seed)) and
  * performs `moves` candidate transpositions of one row each, scored
- * by the ImbalanceEvaluator's O(k) incremental delta -- apply, keep
- * when the cost does not rise, revert otherwise. The evaluator's
+ * read-only by the ImbalanceEvaluator's O(k) swapDelta and applied
+ * only when the cost does not rise. The evaluator's
  * exact integral cost makes accept/reject decisions bit-stable, so a
  * chain's final map is a pure function of (chain seed, move count),
  * and the whole result is a pure function of the options.

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "layout/bibd.hh"
 #include "layout/developed_random.hh"
 #include "layout/tdesign.hh"
+#include "swap_test_util.hh"
 #include "util/rng.hh"
 
 namespace pddl {
@@ -219,6 +221,45 @@ TEST(ImbalanceEvaluator, IncrementalSwapsMatchAuditBitForBit)
             }
         }
         EXPECT_NO_THROW(validateDevelopedRows(eval.map()));
+    }
+}
+
+TEST(ImbalanceEvaluator, SwapDeltaMatchesApplyBitForBit)
+{
+    // swapDelta is the search's read-only scorer: on a mixed walk it
+    // must predict applySwap's cost change exactly, leave the
+    // evaluator untouched, and score the cost-neutral kinds as 0.
+    for (const MapShape &s : kShapes) {
+        ImbalanceEvaluator eval(randomDevelopedRows(
+            s.n, s.k, s.spares, s.rows, /*seed=*/53 + s.n));
+        Rng rng(hashMix64(s.n, 0x5a4de17a));
+        for (int step = 0; step < 400; ++step) {
+            const SwapKind kind =
+                kSwapKinds[step % std::size(kSwapKinds)];
+            if (!swapKindExists(kind, s.spares))
+                continue;
+            const int row = static_cast<int>(
+                rng.below(static_cast<uint64_t>(s.rows)));
+            const auto [a, b] = drawSwap(rng, kind, s.n, s.k, s.spares);
+            const std::vector<std::vector<int>> rows = eval.map().rows;
+            const int64_t before = eval.cost();
+            const int64_t delta = eval.swapDelta(row, a, b);
+            ASSERT_EQ(eval.swapDelta(row, b, a), delta);
+            ASSERT_EQ(eval.cost(), before);
+            ASSERT_EQ(eval.recomputeCost(), before);
+            ASSERT_EQ(eval.map().rows, rows);
+            if (kind == SwapKind::SpareSpare ||
+                kind == SwapKind::IntraGroup) {
+                ASSERT_EQ(delta, 0);
+            }
+            eval.applySwap(row, a, b);
+            ASSERT_EQ(eval.cost() - before, delta)
+                << "shape n=" << s.n << " step " << step << " swap ("
+                << row << ", " << a << ", " << b << ")";
+            if (rng.below(2) == 0)
+                eval.applySwap(row, a, b); // keep the walk mixed
+        }
+        EXPECT_EQ(eval.cost(), eval.recomputeCost());
     }
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "core/climber.hh"
 #include "core/search.hh"
+#include "swap_test_util.hh"
 #include "util/modmath.hh"
 #include "util/rng.hh"
 
@@ -44,6 +48,53 @@ TEST(Climber, DeltaCostMatchesFullRecomputeAlongClimb)
         // And along a genuine climb (accept/reject sequence).
         climber.randomize();
         climber.climb(500);
+        EXPECT_EQ(climber.cost(), climber.recomputeCost());
+    }
+}
+
+TEST(Climber, SwapDeltaMatchesApply)
+{
+    // climb() scores every candidate with swapDelta and applies only
+    // accepted moves, so the delta must equal applySwap's cost change
+    // exactly and leave the climber untouched. (21, 10, 3) is Table
+    // 1's k = 10, g = 2 cell: 72 distance bumps per cross-block swap,
+    // the most of any shape the search runs.
+    for (auto [n, k, p, spares] :
+         {std::tuple{9, 4, 2, 1}, std::tuple{10, 3, 2, 1},
+          std::tuple{13, 4, 1, 1}, std::tuple{11, 3, 5, 2},
+          std::tuple{21, 10, 3, 1}}) {
+        Rng rng(0x5a17 + n);
+        GroupClimber climber(n, k, p, rng, spares);
+        climber.randomize();
+        Rng moves(0xde17a + n);
+        for (int step = 0; step < 600; ++step) {
+            const SwapKind kind =
+                kSwapKinds[step % std::size(kSwapKinds)];
+            if (!swapKindExists(kind, spares))
+                continue;
+            const int q = static_cast<int>(moves.below(p));
+            const auto [a, b] = drawSwap(moves, kind, n, k, spares);
+            std::vector<std::vector<int>> perms;
+            for (int i = 0; i < p; ++i)
+                perms.push_back(climber.perm(i));
+            const int64_t before = climber.cost();
+            const int64_t delta = climber.swapDelta(q, a, b);
+            ASSERT_EQ(climber.swapDelta(q, b, a), delta);
+            ASSERT_EQ(climber.cost(), before);
+            ASSERT_EQ(climber.recomputeCost(), before);
+            for (int i = 0; i < p; ++i)
+                ASSERT_EQ(climber.perm(i), perms[i]);
+            if (kind == SwapKind::SpareSpare ||
+                kind == SwapKind::IntraGroup) {
+                ASSERT_EQ(delta, 0);
+            }
+            climber.applySwap(q, a, b);
+            ASSERT_EQ(climber.cost() - before, delta)
+                << "n=" << n << " k=" << k << " step " << step
+                << " swap (" << q << ", " << a << ", " << b << ")";
+            if (moves.below(2) == 0)
+                climber.applySwap(q, a, b); // keep the walk mixed
+        }
         EXPECT_EQ(climber.cost(), climber.recomputeCost());
     }
 }
