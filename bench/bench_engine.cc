@@ -15,6 +15,9 @@
  *    fixed-sample closed-loop run (allocations/access alongside);
  *  - mapping ns/op: Layout::map() latency per family, exercising the
  *    precomputed mapping tables;
+ *  - disk service ns/op: one HP 2247 op's locate + classify +
+ *    serviceTime, the DeviceModel layer every physical I/O crosses
+ *    (no --check floor);
  *  - zipf sampler set-up ms: OffsetSampler construction, cold (empty
  *    harmonic prefix table) and warm.
  *
@@ -302,6 +305,66 @@ runMappingRate(const Layout &layout, harness::Extras &extras)
 }
 
 /**
+ * Host cost of one simulated drive op, as Disk runs it: locate the
+ * LBA (once, on arrival), classify it against the arm, time it.
+ * LBAs are pre-drawn 8 KB units spread over the whole drive, every
+ * other op continues the previous one's access, and the clock
+ * advances by each service time, so the rotational phase input
+ * covers the ~1e5-1e6 ms range a long simulation reaches. Five
+ * timed repeats report median, min and max ns per op.
+ */
+SimResult
+runDiskService(const DeviceModel &model, harness::Extras &extras)
+{
+    const size_t span = 1 << 16;
+    const uint64_t ops = 1000000;
+    const int sectors = 16;
+
+    std::vector<int64_t> lbas;
+    lbas.reserve(span);
+    Rng rng(0xd15c5e7);
+    const uint64_t units =
+        static_cast<uint64_t>(model.totalSectors() / sectors);
+    for (size_t i = 0; i < span; ++i)
+        lbas.push_back(static_cast<int64_t>(rng.below(units)) * sectors);
+
+    MechState state;
+    double now = 0.0;
+    int64_t sink = 0;
+    auto serve = [&](uint64_t count) {
+        for (uint64_t op = 0; op < count; ++op) {
+            const int64_t lba = lbas[op & (span - 1)];
+            const Chs at = model.locate(lba);
+            sink += static_cast<int>(
+                model.classifyAt(state, lba, at, (op & 1) != 0));
+            now += model.serviceTimeAt(now, lba, at, sectors, false,
+                                       state);
+        }
+    };
+
+    serve(span); // warm caches and branch predictors
+    std::vector<double> ns_per_op;
+    for (int repeat = 0; repeat < 5; ++repeat) {
+        const auto start = Clock::now();
+        serve(ops);
+        ns_per_op.push_back(secondsSince(start) * 1e9 /
+                            static_cast<double>(ops));
+    }
+    std::sort(ns_per_op.begin(), ns_per_op.end());
+
+    extras.emplace_back("ns_per_op", ns_per_op[2]);
+    extras.emplace_back("ns_per_op_min", ns_per_op.front());
+    extras.emplace_back("ns_per_op_max", ns_per_op.back());
+    extras.emplace_back("sink_low_bits",
+                        static_cast<double>(
+                            (sink + static_cast<int64_t>(now)) & 0xff));
+
+    SimResult result;
+    result.samples = static_cast<int64_t>(5 * ops);
+    return result;
+}
+
+/**
  * Zipf sampler set-up: an OffsetSampler's construction is the
  * harmonic sum zeta(domain). Cold is the first build at its theta,
  * which fills the shared prefix table with O(domain) pow() calls (no
@@ -381,8 +444,8 @@ main(int argc, char **argv)
     bench::BenchCli cli(
         argv[0],
         "Engine microbenchmark: events/sec, requests/sec, mapping "
-        "ns/op, zipf sampler set-up ms and allocations/event of the "
-        "simulation core "
+        "ns/op, disk service ns/op, zipf sampler set-up ms and "
+        "allocations/event of the simulation core "
         "(host-time based; rows are not run-to-run deterministic).");
     cli.addBool("check",
                 "enforce CI floors (events/sec, allocations/"
@@ -442,6 +505,17 @@ main(int argc, char **argv)
     }
 
     {
+        harness::Experiment experiment;
+        experiment.point = {"Engine", "disk_service/hp2247", 0, 0,
+                            AccessType::Read, ArrayMode::FaultFree};
+        experiment.custom = [&model](uint64_t,
+                                     harness::Extras &extras) {
+            return runDiskService(model, extras);
+        };
+        experiments.push_back(std::move(experiment));
+    }
+
+    {
         // The data units of bench_autotune's baseline volume.
         const int64_t domain = 2274480;
         harness::Experiment experiment;
@@ -458,8 +532,8 @@ main(int argc, char **argv)
     harness::RunSummary summary = bench::runGrid(
         "Engine",
         "Simulation-core microbenchmark: events/sec, requests/sec, "
-        "mapping ns/op, zipf set-up ms, allocations/event (host-time "
-        "based)",
+        "mapping ns/op, disk service ns/op, zipf set-up ms, "
+        "allocations/event (host-time based)",
         experiments);
 
     std::printf("Engine microbenchmark\n");

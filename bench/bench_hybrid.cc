@@ -330,6 +330,7 @@ main(int argc, char **argv)
                 "enforce CI floors (equal cost budgets; the hybrid "
                 "beats every capacity-feasible homogeneous config on "
                 "mean and p99) and exit 1 on regression");
+    cli.addScenarioFlag();
     cli.parseOrExit(argc, argv);
     bench::options().deterministic_json = true;
 

@@ -336,6 +336,7 @@ main(int argc, char **argv)
                 "cached zipf p99 beats uncached, rebuilding rows "
                 "loss-free, stalls drained) and exit 1 on "
                 "regression");
+    cli.addScenarioFlag();
     cli.parseOrExit(argc, argv);
     bench::options().deterministic_json = true;
 

@@ -124,8 +124,9 @@ struct BenchOptions
     std::string layout_spec;
     /**
      * --scenario: a validated ScenarioSpec (path or inline JSON)
-     * that scenario-driven benches use as the base configuration in
-     * place of their built-in defaults; empty keeps the defaults.
+     * that the benches registering it (BenchCli::addScenarioFlag)
+     * use as the base configuration in place of their built-in
+     * defaults; empty keeps the defaults.
      */
     std::string scenario;
     /**
@@ -262,19 +263,6 @@ class BenchCli
                 }
                 return std::string();
             });
-        parser_.addString(
-            "scenario", "file|json",
-            "base scenario for scenario-driven benches "
-            "(bench_traffic, bench_hybrid, bench_autotune): a "
-            "ScenarioSpec JSON file, or the JSON inline; validated "
-            "at the flag with field-anchored diagnostics", false,
-            [](const std::string &value) {
-                ScenarioSpec spec;
-                std::string error;
-                if (!loadScenario(value, spec, error))
-                    return error;
-                return std::string();
-            });
         std::string epilog =
             "environment:\n"
             "  PDDL_BENCH_FULL=1     paper-fidelity stopping rule "
@@ -289,6 +277,29 @@ class BenchCli
         for (const std::string &name : layouts::layoutSpecNames())
             epilog += "  " + name + "\n";
         parser_.setEpilog(epilog);
+    }
+
+    /**
+     * Register --scenario, for the benches whose rows start from a
+     * base ScenarioSpec (read back through options().scenario). Every
+     * other bench leaves it unregistered, so the flag is rejected
+     * there instead of being accepted and ignored.
+     */
+    void
+    addScenarioFlag()
+    {
+        parser_.addString(
+            "scenario", "file|json",
+            "base scenario every row starts from: a ScenarioSpec JSON "
+            "file, or the JSON inline; validated at the flag with "
+            "field-anchored diagnostics", false,
+            [](const std::string &value) {
+                ScenarioSpec spec;
+                std::string error;
+                if (!loadScenario(value, spec, error))
+                    return error;
+                return std::string();
+            });
     }
 
     /** Register binary-specific flags before parseOrExit(). */

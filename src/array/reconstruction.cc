@@ -1,10 +1,35 @@
 #include "array/reconstruction.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <memory>
 
 namespace pddl {
+
+FailedUnitIndex::FailedUnitIndex(const Layout &layout, int disk,
+                                 int64_t stripes)
+    : layout_(layout), disk_(disk)
+{
+    assert(stripes >= 0 && layout_.stripeWidth() <= INT16_MAX);
+    if (!layout_.mapIsPeriodic())
+        return;
+    period_ = layout_.stripesPerPeriod();
+    const int64_t rows = std::min(period_, stripes);
+    table_.reserve(static_cast<size_t>(rows));
+    for (int64_t stripe = 0; stripe < rows; ++stripe)
+        table_.push_back(static_cast<int16_t>(scan(stripe)));
+}
+
+int
+FailedUnitIndex::scan(int64_t stripe) const
+{
+    for (int pos = 0; pos < layout_.stripeWidth(); ++pos) {
+        if (layout_.map({stripe, pos}).disk == disk_)
+            return pos;
+    }
+    return -1;
+}
 
 ReconstructionEngine::ReconstructionEngine(EventQueue &events,
                                            ArrayController &array,
@@ -13,16 +38,16 @@ ReconstructionEngine::ReconstructionEngine(EventQueue &events,
                                            int max_parallel)
     : events_(events), array_(array), layout_(array.layout()),
       probe_(array.config().probe), failed_disk_(failed_disk),
-      stripes_(stripes), max_parallel_(max_parallel)
+      stripes_(stripes > 0 ? stripes
+                           : array.dataUnits() /
+                                 layout_.dataUnitsPerStripe()),
+      max_parallel_(max_parallel),
+      index_(layout_, failed_disk_, stripes_)
 {
     assert(layout_.hasSparing() &&
            "reconstruction targets distributed spare space");
     assert(failed_disk_ >= 0 && failed_disk_ < layout_.numDisks());
     assert(max_parallel_ >= 1);
-    if (stripes_ <= 0) {
-        stripes_ = array_.dataUnits() /
-                   layout_.dataUnitsPerStripe();
-    }
 }
 
 void
@@ -70,13 +95,7 @@ ReconstructionEngine::rebuildStripe(int64_t stripe)
 
     // Locate the failed unit; stripes untouched by the failure are
     // skipped without I/O (the sweep just advances).
-    int failed_pos = -1;
-    for (int pos = 0; pos < width; ++pos) {
-        if (layout_.map({stripe, pos}).disk == failed_disk_) {
-            failed_pos = pos;
-            break;
-        }
-    }
+    const int failed_pos = index_.positionIn(stripe);
     if (failed_pos < 0)
         return;
 

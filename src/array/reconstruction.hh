@@ -8,7 +8,8 @@
  * declustering (paper section 1; Muntz & Liu; Holland & Gibson).
  *
  * The sweep walks the layout stripe by stripe; for every unit the
- * failed disk held, it reads the surviving units of the stripe,
+ * failed disk held (found in O(1) per stripe through a
+ * FailedUnitIndex), it reads the surviving units of the stripe,
  * XOR-reconstructs (accounted as free, as in the paper's simulator)
  * and writes the rebuilt unit to its spare home. A bounded number of
  * stripes rebuild concurrently so the rebuild competes with, but
@@ -18,14 +19,57 @@
 #ifndef PDDL_ARRAY_RECONSTRUCTION_HH
 #define PDDL_ARRAY_RECONSTRUCTION_HH
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "array/controller.hh"
 #include "layout/layout.hh"
 #include "sim/event_queue.hh"
 
 namespace pddl {
+
+/**
+ * Which position of each stripe one disk holds. A periodic layout
+ * repeats its disk assignment every stripesPerPeriod() stripes, so
+ * one period (or the swept prefix, when shorter) is tabulated up
+ * front and each lookup is a table read. A non-periodic layout
+ * (pseudo-random declustering) is scanned stripe by stripe.
+ */
+class FailedUnitIndex
+{
+  public:
+    /**
+     * @param layout the mapping to index
+     * @param disk the disk whose units are looked up
+     * @param stripes stripes that will be queried (caps the table)
+     */
+    FailedUnitIndex(const Layout &layout, int disk, int64_t stripes);
+
+    /**
+     * Position of `disk`'s unit in `stripe`, or -1 if it has none.
+     * `stripe` must be below the `stripes` the index was built for.
+     */
+    int
+    positionIn(int64_t stripe) const
+    {
+        if (table_.empty())
+            return scan(stripe);
+        const size_t row = static_cast<size_t>(stripe % period_);
+        assert(row < table_.size());
+        return table_[row];
+    }
+
+  private:
+    /** The stripe scan: map() every position until `disk` shows. */
+    int scan(int64_t stripe) const;
+
+    const Layout &layout_;
+    int disk_;
+    int64_t period_ = 0;
+    std::vector<int16_t> table_;
+};
 
 /** Rebuilds a failed disk's units into distributed spare space. */
 class ReconstructionEngine
@@ -84,6 +128,7 @@ class ReconstructionEngine
     int failed_disk_;
     int64_t stripes_;
     int max_parallel_;
+    FailedUnitIndex index_;
 
     int64_t next_stripe_ = 0;
     int in_flight_ = 0;

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hh"
+#include "util/modmath.hh"
 
 namespace pddl {
 
@@ -27,50 +28,50 @@ HddDeviceModel::HddDeviceModel(std::string kind, std::string spec,
                                double rpm, double cost_units)
     : kind_(std::move(kind)), spec_(std::move(spec)),
       geometry_(std::move(geometry)), seek_(seek), rpm_(rpm),
-      cost_units_(cost_units)
+      revolution_ms_(60000.0 / rpm), cost_units_(cost_units)
 {
     assert(rpm_ > 0.0 && cost_units_ > 0.0);
 }
 
 SeekClass
-HddDeviceModel::classify(const MechState &state, int64_t lba,
-                         bool same_access) const
+HddDeviceModel::classifyAt(const MechState &state, int64_t lba,
+                           const Chs &at, bool same_access) const
 {
-    Chs start = geometry_.lbaToChs(lba);
+    (void)lba;
     if (!same_access)
         return SeekClass::NonLocal;
-    if (start.cylinder != state.cylinder)
+    if (at.cylinder != state.cylinder)
         return SeekClass::CylinderSwitch;
-    if (start.head != state.head)
+    if (at.head != state.head)
         return SeekClass::TrackSwitch;
     return SeekClass::NoSwitch;
 }
 
 double
-HddDeviceModel::serviceTime(double now, int64_t lba, int sectors,
-                            bool write, MechState &state) const
+HddDeviceModel::serviceTimeAt(double now, int64_t lba, const Chs &at,
+                              int sectors, bool write,
+                              MechState &state) const
 {
+    (void)lba;
     (void)write; // mechanical service is direction-agnostic
     const DiskGeometry &geo = geometry_;
-    const double rev = revolutionMs();
-
-    Chs start = geo.lbaToChs(lba);
+    const double rev = revolution_ms_;
 
     // Arm positioning.
     double t = 0.0;
-    if (start.cylinder != state.cylinder) {
-        t += seek_.seekTime(std::abs(start.cylinder - state.cylinder));
-    } else if (start.head != state.head) {
+    if (at.cylinder != state.cylinder) {
+        t += seek_.seekTime(std::abs(at.cylinder - state.cylinder));
+    } else if (at.head != state.head) {
         t += seek_.headSwitchMs();
     }
 
     // Rotational latency: the platter spins continuously, so the
     // angular position when the arm settles is determined by absolute
     // simulated time.
-    int spt = geo.sectorsPerTrack(start.cylinder);
+    int spt = geo.sectorsPerTrack(at.cylinder);
     double settle_time = now + t;
-    double angle_now = std::fmod(settle_time, rev) / rev;       // [0,1)
-    double angle_target = double(start.sector) / spt;
+    double angle_now = fmodExact(settle_time, rev) / rev;       // [0,1)
+    double angle_target = double(at.sector) / spt;
     double wait = angle_target - angle_now;
     if (wait < 0)
         wait += 1.0;
@@ -80,9 +81,9 @@ HddDeviceModel::serviceTime(double now, int64_t lba, int sectors,
     // Track skew is assumed to hide rotational resynchronization, so
     // boundary crossings cost only the switch time.
     int remaining = sectors;
-    int cylinder = start.cylinder;
-    int head = start.head;
-    int sector = start.sector;
+    int cylinder = at.cylinder;
+    int head = at.head;
+    int sector = at.sector;
     while (remaining > 0) {
         spt = geo.sectorsPerTrack(cylinder);
         int chunk = std::min(remaining, spt - sector);

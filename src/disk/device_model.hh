@@ -122,6 +122,19 @@ class DeviceModel
     virtual int seekPosition(int64_t lba) const = 0;
 
     /**
+     * Where an LBA sits, computed once per request (Disk::submit)
+     * and handed back to classifyAt() and serviceTimeAt(). The
+     * cylinder is always seekPosition(lba). The default fills in
+     * only that key; a model whose classifyAt()/serviceTimeAt() read
+     * the head or sector must override locate() to supply them.
+     */
+    virtual Chs
+    locate(int64_t lba) const
+    {
+        return Chs{seekPosition(lba), 0, 0};
+    }
+
+    /**
      * Classify the next operation relative to the drive's mechanical
      * state (the paper's local/non-local accounting). `same_access`
      * is true when the previous operation on this drive belonged to
@@ -131,11 +144,37 @@ class DeviceModel
                                bool same_access) const = 0;
 
     /**
+     * classify() for a request already located: `at` is
+     * locate(lba). The default forwards to classify().
+     */
+    virtual SeekClass
+    classifyAt(const MechState &state, int64_t lba, const Chs &at,
+               bool same_access) const
+    {
+        (void)at;
+        return classify(state, lba, same_access);
+    }
+
+    /**
      * Service time in ms of one request starting at simulated time
      * `now`, advancing `state` to the post-transfer position.
      */
     virtual double serviceTime(double now, int64_t lba, int sectors,
                                bool write, MechState &state) const = 0;
+
+    /**
+     * serviceTime() for a request already located: `at` is
+     * locate(lba). The default forwards to serviceTime(), so a
+     * wrapper that overrides only the LBA entry points still sees
+     * every call.
+     */
+    virtual double
+    serviceTimeAt(double now, int64_t lba, const Chs &at, int sectors,
+                  bool write, MechState &state) const
+    {
+        (void)at;
+        return serviceTime(now, lba, sectors, write, state);
+    }
 
     /**
      * Relative acquisition cost of one device (HP 2247 = 1.0), the
@@ -185,16 +224,34 @@ class HddDeviceModel : public DeviceModel
     {
         return geometry_.lbaToChs(lba).cylinder;
     }
+    Chs locate(int64_t lba) const override
+    {
+        return geometry_.lbaToChs(lba);
+    }
     SeekClass classify(const MechState &state, int64_t lba,
-                       bool same_access) const override;
+                       bool same_access) const override
+    {
+        return classifyAt(state, lba, geometry_.lbaToChs(lba),
+                          same_access);
+    }
+    SeekClass classifyAt(const MechState &state, int64_t lba,
+                         const Chs &at,
+                         bool same_access) const final;
     double serviceTime(double now, int64_t lba, int sectors,
-                       bool write, MechState &state) const override;
+                       bool write, MechState &state) const override
+    {
+        return serviceTimeAt(now, lba, geometry_.lbaToChs(lba),
+                             sectors, write, state);
+    }
+    double serviceTimeAt(double now, int64_t lba, const Chs &at,
+                         int sectors, bool write,
+                         MechState &state) const final;
     double costUnits() const override { return cost_units_; }
 
     const DiskGeometry &geometry() const { return geometry_; }
     const SeekModel &seek() const { return seek_; }
     double rpm() const { return rpm_; }
-    double revolutionMs() const { return 60000.0 / rpm_; }
+    double revolutionMs() const { return revolution_ms_; }
 
   private:
     std::string kind_;
@@ -202,6 +259,7 @@ class HddDeviceModel : public DeviceModel
     DiskGeometry geometry_;
     SeekModel seek_;
     double rpm_;
+    double revolution_ms_;
     double cost_units_;
 };
 

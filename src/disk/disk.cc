@@ -1,8 +1,8 @@
 #include "disk/disk.hh"
 
-#include <cstddef>
+#include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <cstddef>
 #include <cstdlib>
 #include <utility>
 
@@ -25,9 +25,10 @@ Disk::submit(DiskRequest request)
     assert(request.lba >= 0 &&
            request.lba + request.sectors <= device_->totalSectors());
     request.submit_ms = events_.now();
+    request.at = device_->locate(request.lba);
     queue_.push_back(std::move(request));
     probe_.counterSample("queue depth", lane_, events_.now(), "depth",
-                         static_cast<double>(queue_.size()));
+                         static_cast<double>(queueDepth()));
     if (!busy_)
         startNext();
 }
@@ -74,35 +75,44 @@ Disk::touchLatentErrors(int64_t lba, int sectors, bool write)
 void
 Disk::startNext()
 {
-    assert(!busy_ && !queue_.empty());
+    assert(!busy_ && queueDepth() > 0);
 
     // SSTF over the scan window: nearest seek position (the cylinder
     // on mechanical drives; position-free devices degenerate to FCFS)
     // wins, earliest arrival breaks ties (keeps the policy
     // starvation-resistant for the closed-loop workloads we simulate).
-    size_t window = std::min<size_t>(window_, queue_.size());
+    DiskRequest *waiting = queue_.data() + queue_head_;
+    const size_t window = std::min<size_t>(window_, queueDepth());
     size_t best = 0;
-    int best_distance =
-        std::abs(device_->seekPosition(queue_[0].lba) - mech_.cylinder);
+    int best_distance = std::abs(waiting[0].at.cylinder - mech_.cylinder);
     for (size_t i = 1; i < window; ++i) {
-        int distance =
-            std::abs(device_->seekPosition(queue_[i].lba) -
-                     mech_.cylinder);
+        int distance = std::abs(waiting[i].at.cylinder - mech_.cylinder);
         if (distance < best_distance) {
             best = i;
             best_distance = distance;
         }
     }
 
-    in_service_ = std::move(queue_[best]);
-    queue_.erase(queue_.begin() + best);
+    // Take the winner and close its gap by moving the (fewer than
+    // window) earlier arrivals up one slot; later arrivals stay put.
+    in_service_ = std::move(waiting[best]);
+    std::move_backward(waiting, waiting + best, waiting + best + 1);
+    ++queue_head_;
+    // Reclaim the spent prefix once it is at least half the storage,
+    // so each request is moved O(1) times on average.
+    if (2 * queue_head_ >= queue_.size()) {
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<ptrdiff_t>(queue_head_));
+        queue_head_ = 0;
+    }
     busy_ = true;
     const DiskRequest &request = in_service_;
 
     // Classify before the arm moves (section 4's local/non-local).
     const bool same_access =
         has_last_ && request.access_id == last_access_id_;
-    SeekClass cls = device_->classify(mech_, request.lba, same_access);
+    SeekClass cls =
+        device_->classifyAt(mech_, request.lba, request.at, same_access);
     tally_.add(cls);
     last_access_id_ = request.access_id;
     has_last_ = true;
@@ -118,9 +128,9 @@ Disk::startNext()
                        dispatch_ms - request.submit_ms);
     }
 
-    SimTime service =
-        device_->serviceTime(events_.now(), request.lba,
-                             request.sectors, request.write, mech_);
+    SimTime service = device_->serviceTimeAt(
+        events_.now(), request.lba, request.at, request.sectors,
+        request.write, mech_);
     busy_ms_ += service;
     if (probe_.on()) {
         probe_.observe("disk.service_ms", service);
@@ -153,13 +163,13 @@ Disk::completeService()
                              "busy", 0.0);
         probe_.counterSample("queue depth", lane_, events_.now(),
                              "depth",
-                             static_cast<double>(queue_.size()));
+                             static_cast<double>(queueDepth()));
     }
     touchLatentErrors(lba, sectors, write);
     if (done)
         done();
     // The completion callback may have enqueued more work.
-    if (!busy_ && !queue_.empty())
+    if (!busy_ && queueDepth() > 0)
         startNext();
 }
 

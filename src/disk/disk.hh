@@ -5,8 +5,11 @@
  * The drive mechanics (seek/rotation/transfer for rotating drives,
  * flat latency for flash) live behind the DeviceModel interface; the
  * Disk owns the queue, the SSTF scan window, and the per-drive
- * mechanical state the model advances. Each dispatched request is
- * classified the way the paper's Figures 4/7/15/16 tally operations:
+ * mechanical state the model advances. Each request is located once,
+ * on arrival: the SSTF scan compares the stored cylinders, and the
+ * model classifies and times the request from the stored position.
+ * Each dispatched request is classified the way the paper's Figures
+ * 4/7/15/16 tally operations:
  * *local* when the previous operation on this disk belonged to the
  * same logical access (further split into cylinder switch / track
  * switch / no-switch), *non-local* otherwise.
@@ -16,10 +19,10 @@
 #define PDDL_DISK_DISK_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "disk/device_model.hh"
 #include "disk/geometry.hh"
@@ -30,18 +33,25 @@
 
 namespace pddl {
 
-/** One physical I/O request handed to a disk. */
+/**
+ * One physical I/O request handed to a disk. Fields are ordered so
+ * the located position packs beside the scalars: the struct stays at
+ * 112 bytes, which is what each waiting slot of every drive's queue
+ * costs.
+ */
 struct DiskRequest
 {
     int64_t lba = 0;
-    int sectors = 0;
-    bool write = false;
     /** Identity of the logical access that generated this op. */
     uint64_t access_id = 0;
-    /** Completion callback, fired at service completion time. */
-    InlineCallback done;
     /** Arrival time, stamped by Disk::submit (queue-wait metric). */
     double submit_ms = 0.0;
+    int sectors = 0;
+    /** DeviceModel::locate(lba), stamped by Disk::submit. */
+    Chs at{0, 0, 0};
+    bool write = false;
+    /** Completion callback, fired at service completion time. */
+    InlineCallback done;
 };
 
 /**
@@ -105,7 +115,7 @@ class Disk
     SimTime busyMs() const { return busy_ms_; }
 
     /** Requests waiting (excluding the one in service). */
-    size_t queueDepth() const { return queue_.size(); }
+    size_t queueDepth() const { return queue_.size() - queue_head_; }
 
     bool busy() const { return busy_; }
 
@@ -128,7 +138,13 @@ class Disk
     obs::Probe probe_;
     int lane_;
 
-    std::deque<DiskRequest> queue_;
+    /**
+     * Waiting requests in arrival order, from queue_head_ on (the
+     * slots before it are spent). SSTF ties go to the earliest
+     * arrival, so the order is part of the simulated history.
+     */
+    std::vector<DiskRequest> queue_;
+    size_t queue_head_ = 0;
     bool busy_ = false;
     /** The request the arm is serving; valid only while busy_. */
     DiskRequest in_service_;

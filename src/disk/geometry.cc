@@ -1,5 +1,6 @@
 #include "disk/geometry.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 
@@ -18,11 +19,37 @@ DiskGeometry::DiskGeometry(int heads, std::vector<Zone> zones,
                "zones must be contiguous and ascending");
         assert(z.cylinders >= 1 && z.sectors_per_track >= 1);
         zone_first_lba_.push_back(total_sectors_);
+        const int64_t per_cylinder =
+            static_cast<int64_t>(heads_) * z.sectors_per_track;
+        zone_divisors_.push_back(
+            {FixedDivisor(static_cast<uint64_t>(per_cylinder)),
+             FixedDivisor(static_cast<uint64_t>(z.sectors_per_track)),
+             z.first_cylinder});
+        cylinder_spt_.insert(cylinder_spt_.end(),
+                             static_cast<size_t>(z.cylinders),
+                             z.sectors_per_track);
         cylinders_ += z.cylinders;
-        total_sectors_ += static_cast<int64_t>(z.cylinders) * heads_ *
-                          z.sectors_per_track;
+        total_sectors_ += static_cast<int64_t>(z.cylinders) * per_cylinder;
     }
     zone_first_lba_.push_back(total_sectors_);
+
+    // Buckets of 2^shift LBAs, the largest power of two no longer
+    // than the shortest zone: a bucket then meets at most two zones,
+    // and lbaToChs() settles which with one comparison.
+    int64_t shortest = total_sectors_;
+    for (size_t i = 0; i < zones_.size(); ++i)
+        shortest = std::min(shortest,
+                            zone_first_lba_[i + 1] - zone_first_lba_[i]);
+    bucket_shift_ = 0;
+    while ((shortest >> (bucket_shift_ + 1)) > 0)
+        ++bucket_shift_;
+    size_t zi = 0;
+    for (int64_t first = 0; first < total_sectors_;
+         first += int64_t{1} << bucket_shift_) {
+        while (first >= zone_first_lba_[zi + 1])
+            ++zi;
+        bucket_zone_.push_back(static_cast<int>(zi));
+    }
 }
 
 int
@@ -36,24 +63,6 @@ DiskGeometry::zoneOf(int cylinder) const
     }
     assert(false);
     return -1;
-}
-
-Chs
-DiskGeometry::lbaToChs(int64_t lba) const
-{
-    assert(lba >= 0 && lba < total_sectors_);
-    size_t zi = 0;
-    while (lba >= zone_first_lba_[zi + 1])
-        ++zi;
-    const Zone &z = zones_[zi];
-    int64_t in_zone = lba - zone_first_lba_[zi];
-    int64_t per_cyl = static_cast<int64_t>(heads_) * z.sectors_per_track;
-    Chs chs;
-    chs.cylinder = z.first_cylinder + static_cast<int>(in_zone / per_cyl);
-    int64_t in_cyl = in_zone % per_cyl;
-    chs.head = static_cast<int>(in_cyl / z.sectors_per_track);
-    chs.sector = static_cast<int>(in_cyl % z.sectors_per_track);
-    return chs;
 }
 
 int64_t

@@ -8,13 +8,23 @@
  * paper's Table 2 (1.03 GB, 1981 cylinders, 13 heads, 8 zones); the
  * per-zone sector counts are synthesized to match total capacity
  * because the paper does not publish them.
+ *
+ * Translation runs once per simulated disk op, so it is O(1) and
+ * divide-free: a small bucket table over the LBA space names the
+ * zone (each bucket is no longer than the shortest zone, so one
+ * comparison finishes the pick), per-zone FixedDivisors split the
+ * zone offset into cylinder, head and sector, and a per-cylinder
+ * table answers sectorsPerTrack().
  */
 
 #ifndef PDDL_DISK_GEOMETRY_HH
 #define PDDL_DISK_GEOMETRY_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
+
+#include "util/modmath.hh"
 
 namespace pddl {
 
@@ -74,7 +84,8 @@ class DiskGeometry
     int
     sectorsPerTrack(int cylinder) const
     {
-        return zones_[zoneOf(cylinder)].sectors_per_track;
+        assert(cylinder >= 0 && cylinder < cylinders_);
+        return cylinder_spt_[static_cast<size_t>(cylinder)];
     }
 
     /**
@@ -82,12 +93,35 @@ class DiskGeometry
      * a track, then across heads of a cylinder, then across cylinders
      * (the conventional serpentine-free ordering).
      */
-    Chs lbaToChs(int64_t lba) const;
+    Chs
+    lbaToChs(int64_t lba) const
+    {
+        assert(lba >= 0 && lba < total_sectors_);
+        size_t zi = bucket_zone_[static_cast<uint64_t>(lba) >>
+                                 bucket_shift_];
+        zi += lba >= zone_first_lba_[zi + 1];
+        const ZoneDivisors &z = zone_divisors_[zi];
+        uint64_t cylinder, in_cylinder, head, sector;
+        z.per_cylinder.divide(
+            static_cast<uint64_t>(lba - zone_first_lba_[zi]), cylinder,
+            in_cylinder);
+        z.per_track.divide(in_cylinder, head, sector);
+        return Chs{z.first_cylinder + static_cast<int>(cylinder),
+                   static_cast<int>(head), static_cast<int>(sector)};
+    }
 
     /** Logical block address of CHS coordinates. */
     int64_t chsToLba(const Chs &chs) const;
 
   private:
+    /** A zone's divisors: sectors per cylinder and per track. */
+    struct ZoneDivisors
+    {
+        FixedDivisor per_cylinder;
+        FixedDivisor per_track;
+        int first_cylinder;
+    };
+
     int heads_;
     std::vector<Zone> zones_;
     int sector_bytes_;
@@ -95,6 +129,12 @@ class DiskGeometry
     int64_t total_sectors_;
     /** First LBA of each zone, plus a final total-sectors sentinel. */
     std::vector<int64_t> zone_first_lba_;
+    std::vector<ZoneDivisors> zone_divisors_;
+    /** Zone holding the first LBA of each 2^bucket_shift_ bucket. */
+    std::vector<int> bucket_zone_;
+    int bucket_shift_;
+    /** Sectors per track of each cylinder. */
+    std::vector<int> cylinder_spt_;
 };
 
 } // namespace pddl

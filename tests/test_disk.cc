@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "disk/disk.hh"
 #include "sim/event_queue.hh"
 
@@ -158,6 +163,75 @@ TEST_F(DiskFixture, BusyTimeAccumulates)
     EXPECT_LE(disk.busyMs(), events.now() + 1e-9);
 }
 
+TEST_F(DiskFixture, SstfTiesKeepArrivalOrderAfterMiddleRemoval)
+{
+    // The arm is busy at cylinder 0 while five requests queue. SSTF
+    // takes B (cylinder 5) and then E (20) out of the middle of the
+    // queue; A, C and D then tie at cylinder 50 and must leave in
+    // arrival order.
+    Disk disk(events, model, 20);
+    const DiskGeometry &geo = model.geometry();
+    std::vector<char> order;
+    auto submit = [&](char name, int cylinder, int sector) {
+        disk.submit(request(geo.chsToLba({cylinder, 0, sector}), 1,
+                            static_cast<uint64_t>(name),
+                            [&order, name] { order.push_back(name); }));
+    };
+    submit('0', 0, 0);
+    submit('A', 50, 0);
+    submit('B', 5, 0);
+    submit('C', 50, 10);
+    submit('E', 20, 0);
+    submit('D', 50, 20);
+    events.runUntilEmpty();
+    EXPECT_EQ(std::string(order.begin(), order.end()), "0BEACD");
+}
+
+TEST_F(DiskFixture, DeepQueueServesInReferenceSstfOrder)
+{
+    // 300 one-sector requests queue behind a busy arm. The service
+    // order must equal a plain SSTF over an arrival-ordered list
+    // (window 20, nearest cylinder, earliest arrival on ties).
+    const DiskGeometry &geo = model.geometry();
+    const int window = 20;
+    Disk disk(events, model, window);
+    std::vector<int> cylinders;
+    uint64_t state = 12345;
+    for (int i = 0; i < 300; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        cylinders.push_back(static_cast<int>((state >> 33) % 60) * 30);
+    }
+    std::vector<int> served;
+    disk.submit(request(0, 1, 1000));
+    for (int i = 0; i < 300; ++i) {
+        disk.submit(request(geo.chsToLba({cylinders[i], 0, 0}), 1,
+                            static_cast<uint64_t>(i),
+                            [&served, i] { served.push_back(i); }));
+    }
+    EXPECT_EQ(disk.queueDepth(), 300u);
+    events.runUntilEmpty();
+    EXPECT_EQ(disk.queueDepth(), 0u);
+
+    std::vector<int> pending(300);
+    for (int i = 0; i < 300; ++i)
+        pending[i] = i;
+    std::vector<int> expected;
+    int arm = 0;
+    while (!pending.empty()) {
+        const size_t scan = std::min<size_t>(window, pending.size());
+        size_t best = 0;
+        for (size_t j = 1; j < scan; ++j) {
+            if (std::abs(cylinders[pending[j]] - arm) <
+                std::abs(cylinders[pending[best]] - arm))
+                best = j;
+        }
+        expected.push_back(pending[best]);
+        arm = cylinders[pending[best]];
+        pending.erase(pending.begin() + static_cast<long>(best));
+    }
+    EXPECT_EQ(served, expected);
+}
+
 TEST_F(DiskFixture, DeterministicReplay)
 {
     auto run = [&]() {
@@ -165,9 +239,9 @@ TEST_F(DiskFixture, DeterministicReplay)
         Disk disk(q, model);
         SimTime last = 0.0;
         for (int i = 0; i < 50; ++i) {
-            disk.submit({(i * 104729) % 1000000, 16, false,
-                         static_cast<uint64_t>(i),
-                         [&, i] { last = q.now(); }});
+            disk.submit(request((i * 104729) % 1000000, 16,
+                                static_cast<uint64_t>(i),
+                                [&] { last = q.now(); }));
         }
         q.runUntilEmpty();
         return last;

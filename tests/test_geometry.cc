@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "disk/device_model.hh"
 #include "disk/geometry.hh"
 
@@ -48,17 +50,79 @@ TEST(Geometry, LbaChsRoundTripExhaustiveSmallDisk)
     }
 }
 
-TEST(Geometry, LbaChsRoundTripSampledHp2247)
+/**
+ * The translation as first written: walk the zones, then divide the
+ * zone offset by sectors per cylinder and per track. The table-driven
+ * lbaToChs() must reproduce it for every LBA.
+ */
+Chs
+divisionFormulaChs(const DiskGeometry &geo, int64_t lba)
 {
-    DiskGeometry geo = device::hp2247Geometry();
-    for (int64_t lba = 0; lba < geo.totalSectors(); lba += 997) {
-        Chs chs = geo.lbaToChs(lba);
-        EXPECT_EQ(geo.chsToLba(chs), lba) << "lba " << lba;
+    int64_t first = 0;
+    for (const DiskGeometry::Zone &z : geo.zones()) {
+        const int64_t per_cyl =
+            static_cast<int64_t>(geo.heads()) * z.sectors_per_track;
+        const int64_t size = per_cyl * z.cylinders;
+        if (lba < first + size) {
+            const int64_t in_zone = lba - first;
+            const int64_t in_cyl = in_zone % per_cyl;
+            return Chs{z.first_cylinder +
+                           static_cast<int>(in_zone / per_cyl),
+                       static_cast<int>(in_cyl / z.sectors_per_track),
+                       static_cast<int>(in_cyl % z.sectors_per_track)};
+        }
+        first += size;
     }
-    // Boundary cases.
-    EXPECT_EQ(geo.chsToLba(geo.lbaToChs(0)), 0);
-    EXPECT_EQ(geo.chsToLba(geo.lbaToChs(geo.totalSectors() - 1)),
-              geo.totalSectors() - 1);
+    ADD_FAILURE() << "lba " << lba << " beyond the last zone";
+    return Chs{-1, -1, -1};
+}
+
+/** Every LBA: lbaToChs() equals the division formula and round-trips. */
+void
+expectExhaustiveTranslation(const DiskGeometry &geo)
+{
+    int64_t mismatches = 0;
+    for (int64_t lba = 0; lba < geo.totalSectors(); ++lba) {
+        const Chs chs = geo.lbaToChs(lba);
+        const Chs expected = divisionFormulaChs(geo, lba);
+        const bool same =
+            chs == expected && geo.chsToLba(chs) == lba &&
+            geo.sectorsPerTrack(chs.cylinder) ==
+                geo.zones()[geo.zoneOf(chs.cylinder)].sectors_per_track;
+        if (!same && mismatches++ < 5) {
+            ADD_FAILURE() << "lba " << lba << ": got (" << chs.cylinder
+                          << "," << chs.head << "," << chs.sector
+                          << "), want (" << expected.cylinder << ","
+                          << expected.head << "," << expected.sector
+                          << ")";
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Geometry, LbaChsMatchesDivisionFormulaExhaustiveHp2247)
+{
+    expectExhaustiveTranslation(device::hp2247Geometry());
+}
+
+TEST(Geometry, LbaChsMatchesDivisionFormulaExhaustiveHddSpec)
+{
+    std::shared_ptr<const DeviceModel> model = device::makeDevice(
+        "hdd:rpm=7200,cylinders=997,heads=5,spt=211");
+    const auto *hdd = dynamic_cast<const HddDeviceModel *>(model.get());
+    ASSERT_NE(hdd, nullptr);
+    EXPECT_EQ(hdd->geometry().totalSectors(), 997 * 5 * 211);
+    expectExhaustiveTranslation(hdd->geometry());
+}
+
+TEST(Geometry, LbaChsMatchesDivisionFormulaIrregularZones)
+{
+    // Every zone boundary falls inside a 32-sector lookup bucket, and
+    // neighbouring zones differ in density (1 vs 16 vs 3 vs 11 sectors
+    // per track), so resolving a straddling bucket to the wrong zone
+    // would give a wrong head or sector.
+    expectExhaustiveTranslation(DiskGeometry(
+        2, {{0, 20, 1}, {20, 3, 16}, {23, 30, 3}, {53, 2, 11}}, 512));
 }
 
 TEST(Geometry, ConsecutiveLbasAdvanceAlongTrackThenHeadThenCylinder)

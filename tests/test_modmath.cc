@@ -1,11 +1,19 @@
 /**
  * @file
- * Unit tests for modular arithmetic, primality, and primitive roots.
+ * Unit tests for modular arithmetic, primality, primitive roots, and
+ * the exact fixed-divisor and floating-point remainder helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "util/modmath.hh"
+#include "util/rng.hh"
 
 namespace pddl {
 namespace {
@@ -131,6 +139,76 @@ TEST(InvModPrime, Inverts)
     for (int64_t p : {7, 13, 101}) {
         for (int64_t a = 1; a < p; ++a)
             EXPECT_EQ(mulMod(a, invModPrime(a, p), p), 1);
+    }
+}
+
+TEST(FixedDivisor, MatchesHardwareDivision)
+{
+    const uint64_t max = std::numeric_limits<uint64_t>::max();
+    std::vector<uint64_t> divisors = {1, 2, 3, 7, 68, 89, 884, 1157,
+                                      (uint64_t{1} << 32) - 1,
+                                      uint64_t{1} << 32, max / 3,
+                                      uint64_t{1} << 63, max};
+    Rng rng(0xd1f150);
+    for (int i = 0; i < 64; ++i)
+        divisors.push_back(rng() >> rng.below(64));
+    for (uint64_t d : divisors) {
+        if (d == 0)
+            continue;
+        const FixedDivisor divisor(d);
+        std::vector<uint64_t> numerators = {0, 1, d - 1, d, max,
+                                            max - 1, max / d * d,
+                                            max / d * d - 1};
+        for (uint64_t k : {uint64_t{1}, uint64_t{2}, uint64_t{12345}}) {
+            if (d <= max / k) {
+                numerators.push_back(k * d);
+                numerators.push_back(k * d - 1);
+            }
+        }
+        for (int i = 0; i < 2000; ++i)
+            numerators.push_back(rng() >> rng.below(64));
+        for (uint64_t n : numerators) {
+            uint64_t q = 0, r = 0;
+            divisor.divide(n, q, r);
+            ASSERT_EQ(q, n / d) << n << " / " << d;
+            ASSERT_EQ(r, n % d) << n << " % " << d;
+        }
+    }
+}
+
+/** Bitwise equality: distinguishes -0 from +0, compares NaN payloads. */
+void
+expectSameBits(double a, double b, double x, double y)
+{
+    EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))
+        << "fmod(" << x << ", " << y << "): " << a << " vs " << b;
+}
+
+TEST(FmodExact, MatchesStdFmodBitForBit)
+{
+    const double revs[] = {60000.0 / 5400.0, 60000.0 / 7200.0,
+                           60000.0 / 15000.0, 1.0, 0.1, 3.0};
+    Rng rng(0xf30d);
+    for (double y : revs) {
+        std::vector<double> xs = {
+            0.0, -0.0, y, -y, 0x1p52 * y,
+            std::nextafter(0x1p52 * y, 0.0), 1e17, -1e9, INFINITY,
+            std::numeric_limits<double>::quiet_NaN(),
+            std::numeric_limits<double>::denorm_min()};
+        for (int i = 0; i < 20000; ++i) {
+            // Exact multiples of y as the simulator forms them, and
+            // the doubles either side, where the quotient estimate
+            // rounds up and the correction step runs.
+            const double multiple =
+                static_cast<double>(rng.below(uint64_t{1} << 28)) * y;
+            xs.push_back(multiple);
+            xs.push_back(std::nextafter(multiple, 0.0));
+            xs.push_back(std::nextafter(multiple, INFINITY));
+            xs.push_back(rng.uniform() * 1e9);
+            xs.push_back(rng.uniform() * 1e3);
+        }
+        for (double x : xs)
+            expectSameBits(fmodExact(x, y), std::fmod(x, y), x, y);
     }
 }
 

@@ -1,14 +1,21 @@
 /**
  * @file
  * Tests for the background reconstruction engine: completeness,
- * accounting, interference with foreground load, determinism.
+ * accounting, interference with foreground load, determinism, and
+ * the FailedUnitIndex that lets the sweep skip untouched stripes.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "array/reconstruction.hh"
+#include "core/layout_spec.hh"
 #include "core/pddl_layout.hh"
 #include "core/wrapped_layout.hh"
+#include "layout_test_util.hh"
 #include "util/rng.hh"
 
 namespace pddl {
@@ -134,6 +141,186 @@ TEST_F(ReconstructionFixture, WorksForWrappedLayouts)
     events.runUntilEmpty();
     EXPECT_TRUE(engine.complete());
     EXPECT_GT(engine.unitsRebuilt(), 0);
+}
+
+/** The position scan the sweep ran before FailedUnitIndex. */
+int
+scanForDisk(const Layout &layout, int64_t stripe, int disk)
+{
+    for (int pos = 0; pos < layout.stripeWidth(); ++pos) {
+        if (layout.map({stripe, pos}).disk == disk)
+            return pos;
+    }
+    return -1;
+}
+
+/** One layout of every family, periodic or not, spared or not. */
+std::vector<std::unique_ptr<Layout>>
+everyFamily()
+{
+    std::vector<std::unique_ptr<Layout>> all;
+    for (const char *kind :
+         {"raid5", "pd", "prime", "datum", "pseudo", "pddl"})
+        all.push_back(makeLayout(LayoutSpec{kind, 13, 4}));
+    all.push_back(makeLayout(LayoutSpec{"wrapped", 8, 3}));
+    all.push_back(layouts::makeLayout("draid:width=4,spares=1", 13));
+    all.push_back(layouts::makeLayout("mirror:copies=2", 12));
+    all.push_back(layouts::makeLayout("tdesign", 16));
+    return all;
+}
+
+TEST(FailedUnitIndex, MatchesStripeScanForEveryFamily)
+{
+    for (const auto &layout : everyFamily()) {
+        const int64_t period = layout->stripesPerPeriod();
+        // Two and a half periods: the count ends inside a period.
+        const int64_t stripes = 2 * period + period / 2 + 1;
+        for (int disk : {0, layout->numDisks() / 2 + 1,
+                         layout->numDisks() - 1}) {
+            SCOPED_TRACE(layout->name() + " disk " +
+                         std::to_string(disk));
+            const FailedUnitIndex index(*layout, disk, stripes);
+            int mismatches = 0;
+            for (int64_t stripe = 0; stripe < stripes; ++stripe) {
+                if (index.positionIn(stripe) !=
+                    scanForDisk(*layout, stripe, disk))
+                    ++mismatches;
+            }
+            EXPECT_EQ(mismatches, 0);
+            // A sweep shorter than one period tabulates only that
+            // prefix and still answers every swept stripe.
+            const FailedUnitIndex prefix(*layout, disk, period / 2 + 1);
+            for (int64_t stripe = 0; stripe <= period / 2; ++stripe) {
+                EXPECT_EQ(prefix.positionIn(stripe),
+                          scanForDisk(*layout, stripe, disk));
+            }
+        }
+    }
+}
+
+/**
+ * The rebuild sweep as it ran before FailedUnitIndex: scan each
+ * stripe for the failed disk, then issue the same reads and spare
+ * write in the same order the engine does.
+ */
+struct ScanRebuild
+{
+    ArrayController &array;
+    int failed_disk;
+    int64_t stripes;
+    int max_parallel;
+    int64_t next_stripe = 0;
+    int in_flight = 0;
+    int64_t reads = 0;
+    int64_t units = 0;
+
+    void
+    pump()
+    {
+        while (in_flight < max_parallel && next_stripe < stripes)
+            rebuildStripe(next_stripe++);
+    }
+
+    void
+    rebuildStripe(int64_t stripe)
+    {
+        const Layout &layout = array.layout();
+        const int failed_pos = scanForDisk(layout, stripe, failed_disk);
+        if (failed_pos < 0)
+            return;
+        const PhysAddr lost = layout.map({stripe, failed_pos});
+        const PhysAddr home =
+            layout.relocatedAddress(failed_disk, lost.unit);
+        ++in_flight;
+        auto outstanding =
+            std::make_shared<int>(layout.stripeWidth() - 1);
+        for (int pos = 0; pos < layout.stripeWidth(); ++pos) {
+            if (pos == failed_pos)
+                continue;
+            const PhysAddr addr = layout.map({stripe, pos});
+            ++reads;
+            array.submitUnit(addr.disk, addr.unit, false,
+                             [this, outstanding, home] {
+                                 if (--*outstanding > 0)
+                                     return;
+                                 array.submitUnit(home.disk, home.unit,
+                                                  true, [this] {
+                                                      ++units;
+                                                      --in_flight;
+                                                      pump();
+                                                  });
+                             });
+        }
+    }
+};
+
+/** What one sweep left behind: counts, clock, dispatch history. */
+struct SweepOutcome
+{
+    int64_t reads = 0;
+    int64_t units = 0;
+    SimTime end_ms = 0.0;
+    uint64_t digest = 0;
+    std::vector<int64_t> ops_per_disk;
+};
+
+SweepOutcome
+runSweep(const Layout &layout, int failed_disk, int64_t stripes,
+         bool indexed)
+{
+    EventQueue events;
+    events.enableHistoryDigest();
+    ArrayConfig config;
+    config.mode = ArrayMode::Degraded;
+    config.failed_disk = failed_disk;
+    ArrayController array(events, layout, device::hp2247(), config);
+    SweepOutcome out;
+    if (indexed) {
+        ReconstructionEngine engine(events, array, failed_disk, stripes,
+                                    3);
+        engine.start({});
+        events.runUntilEmpty();
+        EXPECT_TRUE(engine.complete());
+        out.reads = engine.readsIssued();
+        out.units = engine.unitsRebuilt();
+    } else {
+        ScanRebuild scan{array, failed_disk, stripes, 3};
+        scan.pump();
+        events.runUntilEmpty();
+        out.reads = scan.reads;
+        out.units = scan.units;
+    }
+    out.end_ms = events.now();
+    out.digest = events.historyDigest();
+    for (int d = 0; d < layout.numDisks(); ++d)
+        out.ops_per_disk.push_back(array.disk(d).tally().total());
+    return out;
+}
+
+TEST(FailedUnitIndex, IndexedSweepMatchesStripeScanSweep)
+{
+    std::vector<std::string> swept;
+    for (const auto &layout : everyFamily()) {
+        if (!layout->hasSparing())
+            continue; // nothing to rebuild into
+        swept.push_back(layout->family());
+        const int64_t period = layout->stripesPerPeriod();
+        const int64_t stripes = 2 * period + period / 2 + 1;
+        const int failed_disk = layout->numDisks() / 2 + 1;
+        SCOPED_TRACE(layout->name());
+        const SweepOutcome want =
+            runSweep(*layout, failed_disk, stripes, false);
+        const SweepOutcome got =
+            runSweep(*layout, failed_disk, stripes, true);
+        EXPECT_GT(want.units, 0);
+        EXPECT_EQ(got.reads, want.reads);
+        EXPECT_EQ(got.units, want.units);
+        EXPECT_EQ(got.end_ms, want.end_ms);
+        EXPECT_EQ(got.digest, want.digest);
+        EXPECT_EQ(got.ops_per_disk, want.ops_per_disk);
+    }
+    EXPECT_EQ(swept,
+              (std::vector<std::string>{"pddl", "pddl_wrapped", "draid"}));
 }
 
 } // namespace
