@@ -16,7 +16,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Extension: open-loop OLTP-ish workload mix across offered loads");
+                     "Extension: open-loop OLTP-ish workload mix across offered loads",
+                     bench::kLayoutFlag);
     auto layouts = bench::evaluatedLayouts();
     const DeviceModel &model = device::hp2247();
     const bool full = bench::fullFidelity();

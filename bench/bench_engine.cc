@@ -450,6 +450,8 @@ main(int argc, char **argv)
     cli.addBool("check",
                 "enforce CI floors (events/sec, allocations/"
                 "event) and exit 1 on regression");
+    // The device is fixed (hp2247): only --layout is honoured.
+    cli.addLayoutFlag();
     // Timing rows run serially by default; --threads overrides.
     cli.parseOrExit(argc, argv, /*default_threads=*/1);
 

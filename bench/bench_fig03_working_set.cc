@@ -19,7 +19,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Figure 3: analytic disk working-set sizes per access size and mode");
+                     "Figure 3: analytic disk working-set sizes per access size and mode",
+                     bench::kLayoutFlag);
     auto layouts = bench::evaluatedLayouts();
 
     const char *figure = "Figure 3";

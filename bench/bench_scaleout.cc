@@ -160,6 +160,9 @@ struct WallRun
 {
     double wall_ms = 0.0;
     uint64_t events = 0;
+    /** Engine self-metrics: deterministic counts, no clocks. */
+    uint64_t hub_events = 0;
+    uint64_t posts = 0;
     double sim_ms = 0.0;
     double mean_response_ms = 0.0;
     int64_t samples = 0;
@@ -207,6 +210,8 @@ runWallScenario(int shard_count, int sim_threads)
         std::chrono::duration<double, std::milli>(stop - start)
             .count();
     run.events = engine.eventsFired();
+    run.hub_events = engine.hubEventsFired();
+    run.posts = engine.postsDrained();
     run.sim_ms = engine.now();
     run.mean_response_ms = client.result().mean_response_ms;
     run.samples = client.result().samples;
@@ -223,21 +228,29 @@ runSpeedupRows(int shard_count)
     std::map<int, WallRun> runs;
     std::printf("\n64-shard wall-clock speedup (host time; identical "
                 "simulated history per row)\n");
-    std::printf("%12s %10s %12s %12s %10s %9s\n", "sim-threads",
-                "wall ms", "events", "Mev/s-wall", "speedup",
-                "resp ms");
-    bench::printRule(7);
+    // The hub share is the serial part of every window: the hub's
+    // own events plus the barrier posts it replays, over all events
+    // plus posts. It bounds the speedup whatever the thread count.
+    std::printf("%12s %10s %12s %12s %10s %9s %10s %7s\n",
+                "sim-threads", "wall ms", "events", "Mev/s-wall",
+                "speedup", "resp ms", "posts", "hub %");
+    bench::printRule(9);
     double base_ms = 0.0;
     for (int threads : {1, 2, 4}) {
         WallRun run = runWallScenario(shard_count, threads);
         if (threads == 1)
             base_ms = run.wall_ms;
-        std::printf("%12d %10.0f %12llu %12.2f %9.2fx %9.2f\n",
+        std::printf("%12d %10.0f %12llu %12.2f %9.2fx %9.2f %10llu "
+                    "%7.1f\n",
                     threads, run.wall_ms,
                     static_cast<unsigned long long>(run.events),
                     static_cast<double>(run.events) / 1e3 /
                         run.wall_ms,
-                    base_ms / run.wall_ms, run.mean_response_ms);
+                    base_ms / run.wall_ms, run.mean_response_ms,
+                    static_cast<unsigned long long>(run.posts),
+                    100.0 *
+                        static_cast<double>(run.hub_events + run.posts) /
+                        static_cast<double>(run.events + run.posts));
         runs[threads] = run;
     }
     return runs;
@@ -304,6 +317,8 @@ checkFloors(const harness::RunSummary &summary,
     const auto fourt = wall_runs.find(4);
     if (one != wall_runs.end() && fourt != wall_runs.end()) {
         if (one->second.events != fourt->second.events ||
+            one->second.hub_events != fourt->second.hub_events ||
+            one->second.posts != fourt->second.posts ||
             one->second.sim_ms != fourt->second.sim_ms ||
             one->second.mean_response_ms !=
                 fourt->second.mean_response_ms) {

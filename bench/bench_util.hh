@@ -21,6 +21,7 @@
 #ifndef PDDL_BENCH_BENCH_UTIL_HH
 #define PDDL_BENCH_BENCH_UTIL_HH
 
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -123,6 +124,13 @@ struct BenchOptions
     /** --layout spec; empty keeps each bench's evaluated set. */
     std::string layout_spec;
     /**
+     * The bench registered --device / --layout: benchDevice() and
+     * evaluatedLayouts() assert it, so a bench cannot read a spec
+     * flag it would reject.
+     */
+    bool device_flag = false;
+    bool layout_flag = false;
+    /**
      * --scenario: a validated ScenarioSpec (path or inline JSON)
      * that the benches registering it (BenchCli::addScenarioFlag)
      * use as the base configuration in place of their built-in
@@ -153,6 +161,8 @@ options()
 inline std::vector<std::unique_ptr<Layout>>
 evaluatedLayouts()
 {
+    assert(options().layout_flag &&
+           "a bench reading evaluatedLayouts() registers --layout");
     std::vector<std::unique_ptr<Layout>> layouts;
     if (!options().layout_spec.empty()) {
         layouts.push_back(
@@ -173,6 +183,8 @@ evaluatedLayouts()
 inline const DeviceModel &
 benchDevice()
 {
+    assert(options().device_flag &&
+           "a bench reading benchDevice() registers --device");
     static std::shared_ptr<const DeviceModel> owned;
     if (!options().device_spec.empty() && owned == nullptr)
         owned = device::makeDevice(options().device_spec);
@@ -232,6 +244,24 @@ class BenchCli
                           "record the first grid point as Chrome "
                           "trace_event JSON (load in Perfetto or "
                           "chrome://tracing)");
+        epilog_ = "environment:\n"
+                  "  PDDL_BENCH_FULL=1     paper-fidelity stopping rule "
+                  "(slower)\n"
+                  "  PDDL_BENCH_THREADS=n  default worker count\n"
+                  "  PDDL_SIM_THREADS=n    default intra-scenario worker "
+                  "count\n";
+        parser_.setEpilog(epilog_);
+    }
+
+    /**
+     * Register --device, for the benches whose drives come from
+     * benchDevice(). Every other bench leaves it unregistered, so
+     * the flag is rejected there instead of being accepted and
+     * ignored.
+     */
+    void
+    addDeviceFlag()
+    {
         parser_.addString(
             "device", "spec",
             "drive model for every simulated disk (default: hp2247, "
@@ -243,9 +273,23 @@ class BenchCli
                     return error;
                 return std::string();
             });
+        epilog_ += "\nregistered device specs:\n";
+        for (const std::string &name : device::deviceSpecNames())
+            epilog_ += "  " + name + "\n";
+        parser_.setEpilog(epilog_);
+        options().device_flag = true;
+    }
+
+    /**
+     * Register --layout, for the benches whose layouts come from
+     * evaluatedLayouts(); rejected everywhere else, like --device.
+     */
+    void
+    addLayoutFlag()
+    {
         parser_.addString(
             "layout", "spec",
-            "replace each bench's evaluated layout set with this one "
+            "replace the bench's evaluated layout set with this one "
             "layout (see the spec grammar below)", false,
             [](const std::string &value) {
                 layouts::ParsedLayoutSpec spec;
@@ -263,20 +307,11 @@ class BenchCli
                 }
                 return std::string();
             });
-        std::string epilog =
-            "environment:\n"
-            "  PDDL_BENCH_FULL=1     paper-fidelity stopping rule "
-            "(slower)\n"
-            "  PDDL_BENCH_THREADS=n  default worker count\n"
-            "  PDDL_SIM_THREADS=n    default intra-scenario worker "
-            "count\n"
-            "\nregistered device specs:\n";
-        for (const std::string &name : device::deviceSpecNames())
-            epilog += "  " + name + "\n";
-        epilog += "\nregistered layout specs:\n";
+        epilog_ += "\nregistered layout specs:\n";
         for (const std::string &name : layouts::layoutSpecNames())
-            epilog += "  " + name + "\n";
-        parser_.setEpilog(epilog);
+            epilog_ += "  " + name + "\n";
+        parser_.setEpilog(epilog_);
+        options().layout_flag = true;
     }
 
     /**
@@ -389,17 +424,34 @@ class BenchCli
 
   private:
     harness::ArgParser parser_;
+    /** Usage epilog: environment, then each registered spec list. */
+    std::string epilog_;
+};
+
+/** Opt-in flags for parseArgs(): what the bench reads. */
+enum SpecFlags : unsigned
+{
+    kNoSpecFlags = 0,
+    /** --device: the bench simulates benchDevice(). */
+    kDeviceFlag = 1,
+    /** --layout: the bench evaluates evaluatedLayouts(). */
+    kLayoutFlag = 2,
 };
 
 /**
- * Parse just the shared bench flags. Call first in every bench
- * main() that needs no extra flags; binaries with their own flags
- * construct a BenchCli instead.
+ * Parse the shared bench flags plus the opted-in spec flags. Call
+ * first in every bench main() that needs no flags of its own;
+ * binaries with their own flags construct a BenchCli instead.
  */
 inline void
-parseArgs(int argc, char **argv, const char *description = "")
+parseArgs(int argc, char **argv, const char *description = "",
+          unsigned spec_flags = kNoSpecFlags)
 {
     BenchCli cli(argv[0], description);
+    if ((spec_flags & kDeviceFlag) != 0)
+        cli.addDeviceFlag();
+    if ((spec_flags & kLayoutFlag) != 0)
+        cli.addLayoutFlag();
     cli.parseOrExit(argc, argv);
 }
 

@@ -8,7 +8,8 @@ namespace cache {
 
 CacheTier::CacheTier(EventQueue &events, Target &backend,
                      CacheConfig config)
-    : events_(events), backend_(backend), config_(config)
+    : events_(events), backend_(backend), config_(config),
+      dirty_(backend.dataUnits())
 {
     assert(config_.ways >= 1);
     assert(config_.capacity_units >= config_.ways);
@@ -78,7 +79,6 @@ CacheTier::allocate(int64_t unit)
                     victim = &set[w];
             }
             dirty_.erase(victim->unit);
-            --dirty_units_;
             ++stats_.evictions_dirty;
             config_.probe.count("cache.evict_dirty");
             backend_.access(victim->unit, 1, AccessType::Write,
@@ -100,7 +100,6 @@ CacheTier::markDirty(Line &line)
         return;
     line.dirty = true;
     dirty_.insert(line.unit);
-    ++dirty_units_;
 }
 
 void
@@ -123,7 +122,7 @@ CacheTier::access(int64_t start_unit, int count, AccessType type,
            start_unit + count <= dataUnits());
     ++accesses_;
     if (type == AccessType::Write &&
-        (!stalled_.empty() || dirty_units_ >= high_units_)) {
+        (!stalled_.empty() || dirty_.size() >= high_units_)) {
         // The dirty budget is spent: park the write (FIFO, behind any
         // earlier stalls) until the pump makes room. Its completion
         // fires hit_ms after release, so the stall is client-visible
@@ -192,7 +191,7 @@ CacheTier::serveWrite(int64_t start, int count, InlineCallback done)
 void
 CacheTier::maybePump()
 {
-    if (!pump_active_ && dirty_units_ >= high_units_)
+    if (!pump_active_ && dirty_.size() >= high_units_)
         pump_active_ = true;
     pump();
 }
@@ -202,9 +201,9 @@ CacheTier::pump()
 {
     if (pump_active_) {
         while (destage_in_flight_ < config_.destage_width &&
-               dirty_units_ > low_units_ && !dirty_.empty())
+               dirty_.size() > low_units_ && !dirty_.empty())
             issueRun();
-        if (dirty_units_ <= low_units_)
+        if (dirty_.size() <= low_units_)
             pump_active_ = false;
     }
     releaseStalled();
@@ -217,21 +216,17 @@ CacheTier::issueRun()
     // Resume the scan where the last run ended (round-robin over the
     // ordered dirty set), then coalesce the consecutive units that
     // follow into one contiguous backend write.
-    auto it = dirty_.lower_bound(cursor_);
-    if (it == dirty_.end())
-        it = dirty_.begin();
-    const int64_t run_start = *it;
+    int64_t run_start = dirty_.next(cursor_);
+    if (run_start < 0)
+        run_start = dirty_.next(0);
     int64_t expect = run_start;
     int run_len = 0;
-    while (it != dirty_.end() && *it == expect &&
-           run_len < config_.max_run_units) {
-        it = dirty_.erase(it);
+    while (run_len < config_.max_run_units && dirty_.erase(expect)) {
         Line *line = find(expect);
         assert(line != nullptr && line->dirty);
         // Clean at issue: the write owns this version of the data.
         line->dirty = false;
         line->in_flight = true;
-        --dirty_units_;
         ++run_len;
         ++expect;
     }
@@ -264,7 +259,7 @@ CacheTier::releaseStalled()
     if (releasing_)
         return;
     releasing_ = true;
-    while (!stalled_.empty() && dirty_units_ < high_units_) {
+    while (!stalled_.empty() && dirty_.size() < high_units_) {
         StalledWrite write = std::move(stalled_.front());
         stalled_.pop_front();
         serveWrite(write.start, write.count, std::move(write.done));

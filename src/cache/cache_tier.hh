@@ -34,10 +34,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <vector>
 
 #include "array/target.hh"
+#include "cache/dirty_index.hh"
 #include "obs/probe.hh"
 #include "sim/event_queue.hh"
 
@@ -84,8 +84,8 @@ struct CacheStats
 
 /**
  * The write-back tier. Construction is cheap (one vector of line
- * headers); the tier holds references to the queue and backend, which
- * must outlive it.
+ * headers; the dirty index allocates on first use); the tier holds
+ * references to the queue and backend, which must outlive it.
  */
 class CacheTier : public Target
 {
@@ -115,7 +115,7 @@ class CacheTier : public Target
     double hitRate() const;
 
     /** Units currently dirty (excludes destages in flight). */
-    int64_t dirtyUnits() const { return dirty_units_; }
+    int64_t dirtyUnits() const { return dirty_.size(); }
 
     /** Writes currently stalled behind the high watermark. */
     int64_t stalledWrites() const
@@ -164,8 +164,7 @@ class CacheTier : public Target
 
     std::vector<Line> lines_;
     /** Dirty units, ordered -- the coalescer walks runs off it. */
-    std::set<int64_t> dirty_;
-    int64_t dirty_units_ = 0;
+    DirtyIndex dirty_;
     /** Round-robin scan position of the destage coalescer. */
     int64_t cursor_ = 0;
     int destage_in_flight_ = 0;

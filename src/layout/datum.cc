@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 
-#include "util/binomial.hh"
-
 namespace pddl {
 
 DatumLayout::DatumLayout(int disks, int width, int check_units)
-    : Layout("DATUM", disks, width, check_units)
+    : Layout("DATUM", disks, width, check_units),
+      choose_(disks, width)
 {
-    stripes_ = binomial(disks, width);
-    rows_ = binomial(disks - 1, width - 1);
+    stripes_ = choose_(disks, width);
+    rows_ = choose_(disks - 1, width - 1);
 }
 
 PhysAddr
@@ -24,7 +23,7 @@ DatumLayout::mapUnit(int64_t stripe, int pos) const
 
     int64_t period = stripe / stripes_;
     int64_t rank = stripe % stripes_;
-    std::vector<int> subset = colexUnrank(rank, n, k);
+    std::vector<int> subset = colexUnrank(rank, n, k, choose_);
 
     // Check placement via the canonical orbit representative: every
     // translate S = R + t of a canonical set R (the lexicographically
@@ -74,7 +73,7 @@ DatumLayout::mapUnit(int64_t stripe, int pos) const
     }
 
     int64_t unit = period * rows_ +
-                   colexCountContaining(rank, n, k, disk);
+                   colexCountContaining(subset, disk, choose_);
     return PhysAddr{disk, unit};
 }
 

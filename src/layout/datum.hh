@@ -6,12 +6,14 @@
  * DATUM lays stripes over the *complete* block design: every one of
  * the C(n, k) k-subsets of disks hosts exactly one stripe per layout
  * pattern, enumerated in colexicographic order, and all addresses are
- * computed on demand with the binomial number system -- no tables
- * (paper Table 3). Complete-design balance gives optimal parity and
- * reconstruction distribution; the colex enumeration makes
- * consecutive stripes share most of their disks, which is exactly the
- * small disk-working-set behaviour the PDDL paper measures for DATUM
- * (poor at light load, best at heavy load).
+ * computed on demand with the binomial number system -- no address
+ * tables (paper Table 3; the layout keeps only the (n+1) x (k+1)
+ * binomial coefficients the number system reads). Complete-design
+ * balance gives optimal parity and reconstruction distribution; the
+ * colex enumeration makes consecutive stripes share most of their
+ * disks, which is exactly the small disk-working-set behaviour the
+ * PDDL paper measures for DATUM (poor at light load, best at heavy
+ * load).
  *
  * Check units rotate through the subset positions with the stripe
  * index; with q check units the layout tolerates q failures, which is
@@ -22,6 +24,7 @@
 #define PDDL_LAYOUT_DATUM_HH
 
 #include "layout/layout.hh"
+#include "util/binomial.hh"
 
 namespace pddl {
 
@@ -51,6 +54,8 @@ class DatumLayout : public Layout
   private:
     int64_t stripes_; ///< C(n, k)
     int64_t rows_;    ///< C(n-1, k-1)
+    /** C(c, j) for c <= n, j <= k: the (un)ranking coefficients. */
+    BinomialTable choose_;
 };
 
 } // namespace pddl

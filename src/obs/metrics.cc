@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <string>
+#include <string_view>
 
 namespace pddl {
 namespace obs {
@@ -215,25 +217,44 @@ MetricsRegistry::localShard()
     return *shard;
 }
 
+namespace {
+
+/**
+ * The entry for `name` in a transparently compared map, created from
+ * `init` when absent. Lookup compares the name in place; only a new
+ * series pays for its std::string.
+ */
+template <typename Map>
+typename Map::mapped_type &
+entry(Map &map, std::string_view name,
+      const typename Map::mapped_type &init)
+{
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name)
+        it = map.emplace_hint(it, std::string(name), init);
+    return it->second;
+}
+
+} // namespace
+
 void
 MetricsRegistry::add(const char *name, double delta)
 {
-    localShard().counters[name] += delta;
+    entry(localShard().counters, name, 0.0) += delta;
 }
 
 void
 MetricsRegistry::gaugeMax(const char *name, double value)
 {
-    Shard &shard = localShard();
-    auto [it, inserted] = shard.gauges.emplace(name, value);
-    if (!inserted)
-        it->second = std::max(it->second, value);
+    double &gauge = entry(localShard().gauges, name, value);
+    gauge = std::max(gauge, value);
 }
 
 void
 MetricsRegistry::observe(const char *name, double value_ms)
 {
-    HistogramData &histogram = localShard().histograms[name];
+    HistogramData &histogram =
+        entry(localShard().histograms, name, HistogramData{});
     if (histogram.bounds.empty()) {
         histogram.bounds = histogram_bounds_.empty()
                                ? defaultLatencyBoundsMs()

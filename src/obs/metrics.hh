@@ -22,6 +22,7 @@
 #define PDDL_OBS_METRICS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -133,11 +134,16 @@ class MetricsRegistry
     size_t shardCount() const;
 
   private:
+    /**
+     * Transparent comparison: a hot-path lookup by `const char *`
+     * compares in place and builds a std::string only when it
+     * creates a series.
+     */
     struct Shard
     {
-        std::map<std::string, double> counters;
-        std::map<std::string, double> gauges;
-        std::map<std::string, HistogramData> histograms;
+        std::map<std::string, double, std::less<>> counters;
+        std::map<std::string, double, std::less<>> gauges;
+        std::map<std::string, HistogramData, std::less<>> histograms;
     };
 
     /** This thread's shard, created on first use. */

@@ -60,12 +60,19 @@ ParallelEngine::~ParallelEngine()
 }
 
 void
-ParallelEngine::post(int from_lane, SimTime when,
-                     EventQueue::Callback fn)
+ParallelEngine::setPostHandler(PostHandler handler, void *context)
+{
+    post_handler_ = handler;
+    post_context_ = context;
+}
+
+void
+ParallelEngine::post(int from_lane, SimTime when, uint32_t tag)
 {
     assert(from_lane >= 0 && from_lane < shardLanes());
+    assert(post_handler_ != nullptr && "post() needs a handler");
     lanes_[static_cast<size_t>(from_lane)].mailbox.push_back(
-        Post{when, std::move(fn)});
+        Post{when, tag});
 }
 
 SimTime
@@ -107,10 +114,12 @@ ParallelEngine::drainBarrier(SimTime window_end)
               });
     for (const PostRef &ref : barrier_order_) {
         hub_.runUntil(ref.when);
-        lanes_[static_cast<size_t>(ref.lane)]
-            .mailbox[ref.seq]
-            .fn();
+        post_handler_(post_context_, ref.lane,
+                      lanes_[static_cast<size_t>(ref.lane)]
+                          .mailbox[ref.seq]
+                          .tag);
     }
+    posts_drained_ += barrier_order_.size();
     for (Lane &lane : lanes_)
         lane.mailbox.clear();
     hub_.runBefore(window_end);

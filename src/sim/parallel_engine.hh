@@ -26,7 +26,8 @@
  *   2. worker threads run their statically assigned lanes with
  *      EventQueue::runBefore(start + lookahead);
  *   3. barrier: the coordinator drains every lane's mailbox of
- *      posted hub work (shard completion notifications), sorted by
+ *      posted hub work (shard completion notifications: a (time,
+ *      tag) record handed to the registered handler), sorted by
  *      (time, lane, FIFO seq) -- a fixed order no schedule can
  *      perturb -- interleaved with the hub's own events via
  *      runUntil, then runs remaining hub events with runBefore.
@@ -92,13 +93,26 @@ class ParallelEngine
     int threads() const { return config_.threads; }
 
     /**
-     * Post hub work from inside lane `from_lane` at simulated time
-     * `when` (>= the lane's clock). The closure runs at the next
-     * barrier with the hub clock at `when`, after all posts with
-     * earlier (when, lane, seq). Only the thread currently running
-     * `from_lane` may call this.
+     * Hub handler for mailbox posts: runs at a barrier with the hub
+     * clock at the post's time, given the posting lane and its tag.
      */
-    void post(int from_lane, SimTime when, EventQueue::Callback fn);
+    using PostHandler = void (*)(void *context, int lane, uint32_t tag);
+
+    /**
+     * Register the one consumer of mailbox posts (the producer that
+     * posts from the lanes; a parallel VolumeManager registers its
+     * join). A later registration replaces an earlier one.
+     */
+    void setPostHandler(PostHandler handler, void *context);
+
+    /**
+     * Post hub work from inside lane `from_lane` at simulated time
+     * `when` (>= the lane's clock). The registered handler receives
+     * (from_lane, tag) at the next barrier with the hub clock at
+     * `when`, after all posts with earlier (when, lane, seq). Only
+     * the thread currently running `from_lane` may call this.
+     */
+    void post(int from_lane, SimTime when, uint32_t tag);
 
     /** Run windows until every lane and the hub are drained. */
     void run();
@@ -109,15 +123,24 @@ class ParallelEngine
     /** Events fired across the hub and every lane. */
     uint64_t eventsFired() const;
 
+    /**
+     * Events fired on the hub lane (clients, cache, volume fan-out):
+     * the serial share of the work, since only lanes run in parallel.
+     */
+    uint64_t hubEventsFired() const { return hub_.fired(); }
+
+    /** Mailbox posts replayed at barriers so far. */
+    uint64_t postsDrained() const { return posts_drained_; }
+
     /** Latest clock over the hub and every lane. */
     SimTime now() const;
 
   private:
-    /** One posted hub closure (mailbox entry). */
+    /** One mailbox entry: 16 bytes, read back by the hub. */
     struct Post
     {
         SimTime when;
-        EventQueue::Callback fn;
+        uint32_t tag;
     };
 
     /**
@@ -139,6 +162,9 @@ class ParallelEngine
     std::vector<Lane> lanes_;
     EventQueue hub_;
     uint64_t windows_ = 0;
+    uint64_t posts_drained_ = 0;
+    PostHandler post_handler_ = nullptr;
+    void *post_context_ = nullptr;
 
     /** Participating workers this run (coordinator included). */
     int participants_ = 1;

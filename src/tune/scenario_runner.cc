@@ -112,9 +112,12 @@ runScenario(const ScenarioSpec &spec,
         fault_schedulers.push_back(std::move(scheduler));
     }
 
-    // Client latencies and cache counters land in one per-run
-    // registry; everything read out of it below is integer-counted,
-    // so the numbers are exact for any lane/thread arrangement.
+    // Client latencies land in one per-run registry: the
+    // client.latency_ms histogram is the only series read back
+    // below, so the probe goes to the clients alone (the cache
+    // tier's counts come from CacheStats). Histogram buckets are
+    // integer-counted, so the numbers are exact for any lane/thread
+    // arrangement.
     // Histogram resolution is a property of the device classes
     // present: a flash shard keeps sub-ms buckets, a pure-hdd volume
     // the default mechanical bounds.
@@ -143,7 +146,6 @@ runScenario(const ScenarioSpec &spec,
         cconfig.low_water = spec.cache_low;
         cconfig.max_run_units = spec.cache_run_units;
         cconfig.destage_width = spec.cache_width;
-        cconfig.probe = probe;
         tier = std::make_unique<cache::CacheTier>(engine.hubQueue(),
                                                   volume, cconfig);
     }

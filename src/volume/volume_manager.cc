@@ -44,6 +44,19 @@ VolumeManager::VolumeManager(ParallelEngine &engine,
         shard_events_.push_back(
             &engine.shardQueue(static_cast<int>(s)));
     init(shards);
+    engine.setPostHandler(&VolumeManager::onPost, this);
+}
+
+VolumeManager::~VolumeManager()
+{
+    if (engine_ != nullptr)
+        engine_->setPostHandler(nullptr, nullptr);
+}
+
+void
+VolumeManager::onPost(void *volume, int lane, uint32_t handle)
+{
+    static_cast<VolumeManager *>(volume)->subComplete(handle, lane);
 }
 
 void
@@ -229,10 +242,11 @@ VolumeManager::allocFlight()
 /**
  * A shard-side completion at shard time `t`. Serially the volume's
  * join bookkeeping runs inline; in a parallel run the callback is
- * executing on the lane's worker thread, so the join is posted to
- * the engine's mailbox and replayed at the next barrier with the hub
- * clock at `t` -- same simulated time, same (time, shard, FIFO)
- * order a shared queue would have produced.
+ * executing on the lane's worker thread, so the flight handle is
+ * posted to the engine's mailbox (lane = shard) and onPost replays
+ * the join at the next barrier with the hub clock at `t` -- same
+ * simulated time, same (time, shard, FIFO) order a shared queue
+ * would have produced.
  */
 void
 VolumeManager::subAccessDone(uint32_t handle, int shard)
@@ -241,10 +255,7 @@ VolumeManager::subAccessDone(uint32_t handle, int shard)
         subComplete(handle, shard);
         return;
     }
-    engine_->post(shard, shard_events_[shard]->now(),
-                  [this, handle, shard] {
-                      subComplete(handle, shard);
-                  });
+    engine_->post(shard, shard_events_[shard]->now(), handle);
 }
 
 void
@@ -307,7 +318,9 @@ VolumeManager::access(int64_t start_unit, int count, AccessType type,
                 static_cast<double>(in_flight_[head.shard]));
         }
         config_.probe.count("volume.sub_accesses");
-        if (shards_[head.shard]->mode() != ArrayMode::FaultFree)
+        // mode() is lane-owned state: read it only for a probe.
+        if (config_.probe.on() &&
+            shards_[head.shard]->mode() != ArrayMode::FaultFree)
             config_.probe.count("volume.degraded_sub_accesses");
 
         // The sub-access crosses the volume->shard fabric: it lands

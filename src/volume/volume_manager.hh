@@ -176,13 +176,20 @@ class VolumeManager : public Target
      * Parallel volume: shard s's controller lives on the engine's
      * lane s queue, clients and fan-out joins on the hub queue, and
      * shard completions travel back through the engine's barrier
-     * mailboxes. Requires engine.shardLanes() >= shards.size() and
+     * mailboxes (the volume registers itself as the engine's post
+     * handler). Requires engine.shardLanes() >= shards.size() and
      * config.dispatch_ms >= engine.lookahead() (the conservative
      * window's safety condition).
      */
     VolumeManager(ParallelEngine &engine,
                   std::vector<ShardSpec> shards,
                   VolumeConfig config = VolumeConfig{});
+
+    /** Unregisters the engine's post handler (parallel volumes). */
+    ~VolumeManager() override;
+
+    VolumeManager(const VolumeManager &) = delete;
+    VolumeManager &operator=(const VolumeManager &) = delete;
 
     int shardCount() const { return static_cast<int>(shards_.size()); }
     ArrayController &shard(int s) { return *shards_[s]; }
@@ -286,6 +293,8 @@ class VolumeManager : public Target
     uint32_t allocFlight();
     void subComplete(uint32_t handle, int shard);
     void subAccessDone(uint32_t handle, int shard);
+    /** Engine post handler: the join of flight `handle` on `lane`. */
+    static void onPost(void *volume, int lane, uint32_t handle);
 
     /** Allocation group owning volume unit `unit`. */
     int groupOf(int64_t unit) const;

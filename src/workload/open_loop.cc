@@ -55,6 +55,7 @@ OpenLoopClient::arrive()
                         if (index >= config_.warmup) {
                             double response = events_->now() - issued;
                             responses_.push_back(response);
+                            response_sum_ += response;
                             config_.probe.observe("client.latency_ms",
                                                   response);
                             last_completion_ = events_->now();
@@ -83,16 +84,17 @@ OpenLoopClient::result() const
     result.samples = static_cast<int64_t>(responses_.size());
     result.max_outstanding = max_outstanding_;
     if (!responses_.empty()) {
-        double sum = 0.0;
-        for (double r : responses_)
-            sum += r;
         result.mean_response_ms =
-            sum / static_cast<double>(responses_.size());
-        std::vector<double> sorted = responses_;
-        std::sort(sorted.begin(), sorted.end());
-        result.p95_response_ms =
-            sorted[static_cast<size_t>(0.95 * (sorted.size() - 1))];
-        result.max_response_ms = sorted.back();
+            response_sum_ / static_cast<double>(responses_.size());
+        // Order statistics do not depend on the samples' order, so
+        // selecting in place leaves every later call the same answer.
+        const auto rank = responses_.begin() +
+                          static_cast<std::ptrdiff_t>(
+                              0.95 * (responses_.size() - 1));
+        std::nth_element(responses_.begin(), rank, responses_.end());
+        result.p95_response_ms = *rank;
+        result.max_response_ms =
+            *std::max_element(rank, responses_.end());
         double window = last_completion_ - measure_start_;
         if (window > 0.0) {
             result.completed_per_s =

@@ -97,7 +97,12 @@ class OpenLoopClient : public Workload
 
     void start(EventQueue &events, Target &target) override;
 
-    /** Measured outcome; valid once the event loop has drained. */
+    /**
+     * Measured outcome; valid once the event loop has drained. The
+     * percentiles are selected in place (the stored samples are
+     * reordered, never copied), so repeated calls give the same
+     * bits.
+     */
     OpenLoopResult result() const;
 
   private:
@@ -113,7 +118,10 @@ class OpenLoopClient : public Workload
     /** Built in start() (the domain is the target's dataUnits). */
     std::optional<traffic::OffsetSampler> offsets_;
 
-    std::vector<double> responses_;
+    /** Measured responses; result() permutes them in place. */
+    mutable std::vector<double> responses_;
+    /** Sum of responses_ in completion order (the mean's fold). */
+    double response_sum_ = 0.0;
     int64_t arrivals_ = 0;
     int outstanding_ = 0;
     int max_outstanding_ = 0;

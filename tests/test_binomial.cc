@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "util/binomial.hh"
 
@@ -123,6 +124,33 @@ TEST_P(ColexCounting, MatchesBruteForce)
     // After the whole period every disk appeared C(n-1, k-1) times.
     for (int d = 0; d < n; ++d)
         EXPECT_EQ(counts[d], binomial(n - 1, k - 1));
+}
+
+TEST_P(ColexCounting, TableOverloadsMatchTheDirectForms)
+{
+    auto [n, k] = GetParam();
+    const BinomialTable choose(n, k);
+    for (int c = 0; c <= n; ++c) {
+        for (int j = 0; j <= k; ++j)
+            ASSERT_EQ(choose(c, j), binomial(c, j)) << c << "," << j;
+    }
+    for (int64_t r = 0; r < binomial(n, k); ++r) {
+        const std::vector<int> subset = colexUnrank(r, n, k, choose);
+        ASSERT_EQ(subset, colexUnrank(r, n, k)) << "rank " << r;
+        for (int d = 0; d < n; ++d) {
+            EXPECT_EQ(colexCountContaining(subset, d, choose),
+                      colexCountContaining(r, n, k, d))
+                << "rank " << r << " d " << d;
+        }
+    }
+}
+
+TEST(BinomialTable, KeepsSaturation)
+{
+    const BinomialTable choose(300, 150);
+    EXPECT_EQ(choose(300, 150), binomial(300, 150));
+    EXPECT_EQ(choose(300, 150), std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(choose(3, 5), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

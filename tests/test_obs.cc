@@ -45,6 +45,70 @@ TEST(MetricsRegistry, CountersGaugesAndHistogramsRoundTrip)
     EXPECT_EQ(bucket_total, h->count);
 }
 
+TEST(MetricsRegistry, LiteralAndRuntimeNamesLandInOneSeries)
+{
+    // The same name from a literal and from two separately built
+    // strings (three distinct pointers, all past the small-string
+    // buffer): a lookup keyed by pointer would split the series.
+    MetricsRegistry registry;
+    const std::string built = std::string("client.") + "latency_ms";
+    const std::string copy = built;
+    ASSERT_NE(static_cast<const void *>(built.c_str()),
+              static_cast<const void *>("client.latency_ms"));
+    ASSERT_NE(built.c_str(), copy.c_str());
+    registry.add("client.latency_ms");
+    registry.add(built.c_str(), 2.0);
+    registry.add(copy.c_str(), 4.0);
+    registry.gaugeMax("client.latency_ms", 1.0);
+    registry.gaugeMax(built.c_str(), 5.0);
+    registry.gaugeMax(copy.c_str(), 3.0);
+    registry.observe("client.latency_ms", 0.5);
+    registry.observe(built.c_str(), 7.0);
+    registry.observe(copy.c_str(), 9.0);
+
+    MetricsSnapshot snap = registry.snapshot();
+    ASSERT_EQ(snap.counters.size(), 1u);
+    EXPECT_EQ(snap.counters[0].first, "client.latency_ms");
+    EXPECT_EQ(snap.counters[0].second, 7.0);
+    ASSERT_EQ(snap.gauges.size(), 1u);
+    EXPECT_EQ(snap.gauges[0].second, 5.0);
+    ASSERT_EQ(snap.histograms.size(), 1u);
+    EXPECT_EQ(snap.histograms[0].second.count, 3);
+    EXPECT_EQ(snap.histograms[0].second.sum, 16.5);
+}
+
+TEST(MetricsRegistry, SnapshotJsonIsPinned)
+{
+    // Series created out of name order, short and long names, a
+    // lowered gauge and an overflow sample: the snapshot JSON stays
+    // byte for byte what it has always been.
+    MetricsRegistry registry;
+    registry.add("volume.sub_accesses", 3.0);
+    registry.add("a");
+    registry.add("volume.shard12.inflight_max");
+    registry.add("a", 0.5);
+    registry.gaugeMax("volume.shard3.inflight_max", 4.0);
+    registry.gaugeMax("volume.shard3.inflight_max", 2.0);
+    registry.gaugeMax("g", -1.0);
+    registry.observe("client.latency_ms", 0.3);
+    registry.observe("client.latency_ms", 12.5);
+    registry.observe("client.latency_ms", 4000.0);
+    registry.observe("disk", 0.1);
+    const std::string pinned =
+        "{\"counters\":{\"a\":1.5,\"volume.shard12.inflight_max\":1,"
+        "\"volume.sub_accesses\":3},\"gauges\":{\"g\":-1,"
+        "\"volume.shard3.inflight_max\":4},"
+        "\"histograms\":{\"client.latency_ms\":{\"count\":3,"
+        "\"sum\":4012.8000000000002,\"min\":0.29999999999999999,"
+        "\"max\":4000,\"le\":[0.25,0.5,1,2,5,10,20,50,100,200,500,"
+        "1000,2000],\"buckets\":[0,1,0,0,0,0,1,0,0,0,0,0,0,1]},"
+        "\"disk\":{\"count\":1,\"sum\":0.10000000000000001,"
+        "\"min\":0.10000000000000001,\"max\":0.10000000000000001,"
+        "\"le\":[0.25,0.5,1,2,5,10,20,50,100,200,500,1000,2000],"
+        "\"buckets\":[1,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}";
+    EXPECT_EQ(registry.snapshot().toJson().dump(0), pinned);
+}
+
 TEST(MetricsRegistry, MissingSeriesReadAsZeroOrNull)
 {
     MetricsRegistry registry;

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
+#include "array/controller.hh"
 #include "core/pddl_layout.hh"
 #include "layout/raid5.hh"
 #include "workload/open_loop.hh"
@@ -97,6 +102,110 @@ TEST(OpenLoop, DegradedModeSlower)
     config.failed_disk = 0;
     OpenLoopResult f1 = runOpenLoop(pddl, device::hp2247(), config);
     EXPECT_GT(f1.mean_response_ms, ff.mean_response_ms);
+}
+
+/**
+ * Forwards to an inner target and logs (issue index, response ms) in
+ * completion order: the client's own sample stream, observed from
+ * outside.
+ */
+class ResponseLog : public Target
+{
+  public:
+    ResponseLog(EventQueue &events, Target &inner)
+        : events_(events), inner_(inner)
+    {
+    }
+
+    int64_t dataUnits() const override { return inner_.dataUnits(); }
+
+    void
+    access(int64_t start_unit, int count, AccessType type,
+           InlineCallback done) override
+    {
+        const int64_t index = issued_++;
+        const double issued = events_.now();
+        inner_.access(start_unit, count, type,
+                      [this, index, issued,
+                       finish = std::move(done)]() mutable {
+                          log.push_back({index, events_.now() - issued});
+                          finish();
+                      });
+    }
+
+    SeekTally aggregateTally() const override
+    {
+        return inner_.aggregateTally();
+    }
+
+    uint64_t accessesIssued() const override
+    {
+        return static_cast<uint64_t>(issued_);
+    }
+
+    std::vector<std::pair<int64_t, double>> log;
+
+  private:
+    EventQueue &events_;
+    Target &inner_;
+    int64_t issued_ = 0;
+};
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(OpenLoop, ResultIsIdempotentAndMatchesASortedCopy)
+{
+    PddlLayout pddl = PddlLayout::make(13, 4);
+    EventQueue events;
+    ArrayController array(events, pddl, device::hp2247(), ArrayConfig{});
+    ResponseLog logged(events, array);
+
+    OpenLoopConfig config;
+    config.arrivals_per_s = 120.0;
+    config.samples = 1500;
+    config.warmup = 100;
+    config.mix = {AccessMixEntry{1, AccessType::Read, 0.6},
+                  AccessMixEntry{4, AccessType::Write, 0.4}};
+    OpenLoopClient client(config);
+    client.start(events, logged);
+    events.runUntilEmpty();
+
+    // Reference: the measured samples in completion order, summed in
+    // that order, and a sorted copy for the order statistics.
+    std::vector<double> measured;
+    double sum = 0.0;
+    for (const auto &[index, response] : logged.log) {
+        if (index >= config.warmup) {
+            measured.push_back(response);
+            sum += response;
+        }
+    }
+    ASSERT_EQ(measured.size(), static_cast<size_t>(config.samples));
+    std::vector<double> sorted = measured;
+    std::sort(sorted.begin(), sorted.end());
+
+    const OpenLoopResult first = client.result();
+    const OpenLoopResult second = client.result();
+    EXPECT_EQ(first.samples, config.samples);
+    EXPECT_TRUE(sameBits(first.mean_response_ms,
+                         sum / static_cast<double>(measured.size())));
+    EXPECT_TRUE(sameBits(
+        first.p95_response_ms,
+        sorted[static_cast<size_t>(0.95 * (sorted.size() - 1))]));
+    EXPECT_TRUE(sameBits(first.max_response_ms, sorted.back()));
+    EXPECT_LT(first.p95_response_ms, first.max_response_ms);
+
+    // A second call reads the same bits from the reordered samples.
+    EXPECT_TRUE(sameBits(second.mean_response_ms, first.mean_response_ms));
+    EXPECT_TRUE(sameBits(second.p95_response_ms, first.p95_response_ms));
+    EXPECT_TRUE(sameBits(second.max_response_ms, first.max_response_ms));
+    EXPECT_TRUE(sameBits(second.completed_per_s, first.completed_per_s));
+    EXPECT_EQ(second.samples, first.samples);
+    EXPECT_EQ(second.max_outstanding, first.max_outstanding);
 }
 
 } // namespace

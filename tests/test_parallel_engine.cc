@@ -425,6 +425,28 @@ TEST(ParallelEngine, ThreadedRunIsRepeatable)
     expectSameHistory(first, second, "repeat");
 }
 
+/** Records every delivered post as (lane, tag, hub clock). */
+struct PostLog
+{
+    struct Entry
+    {
+        int lane;
+        uint32_t tag;
+        double hub_ms;
+    };
+
+    ParallelEngine *engine = nullptr;
+    std::vector<Entry> entries;
+
+    static void
+    record(void *context, int lane, uint32_t tag)
+    {
+        PostLog &log = *static_cast<PostLog *>(context);
+        log.entries.push_back(
+            {lane, tag, log.engine->hubQueue().now()});
+    }
+};
+
 /** Posts drain at the barrier in (time, lane, FIFO-seq) order. */
 TEST(ParallelEngine, BarrierDrainsMailboxesInDeterministicOrder)
 {
@@ -432,29 +454,71 @@ TEST(ParallelEngine, BarrierDrainsMailboxesInDeterministicOrder)
     config.threads = 1;
     config.lookahead = 1.0;
     ParallelEngine engine(3, config);
+    PostLog log;
+    log.engine = &engine;
+    engine.setPostHandler(&PostLog::record, &log);
 
-    std::vector<int> order;
-    // Lane events at t=0.5 in every lane post hub work carrying the
+    // Lane events at t=0.5 in every lane post a tag carrying the
     // lane id; lane 2 posts twice to exercise FIFO within a lane.
     // All posts carry when=0.5, so order must be lane 0, 1, 2, 2.
     for (int lane : {2, 0, 1}) {
-        engine.shardQueue(lane).schedule(0.5, [&engine, &order,
-                                               lane] {
-            engine.post(lane, 0.5,
-                        [&order, lane] { order.push_back(lane); });
-            if (lane == 2) {
-                engine.post(lane, 0.5,
-                            [&order] { order.push_back(12); });
-            }
+        engine.shardQueue(lane).schedule(0.5, [&engine, lane] {
+            engine.post(lane, 0.5, static_cast<uint32_t>(lane));
+            if (lane == 2)
+                engine.post(lane, 0.5, 12);
         });
     }
     engine.run();
-    ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(order[0], 0);
-    EXPECT_EQ(order[1], 1);
-    EXPECT_EQ(order[2], 2);
-    EXPECT_EQ(order[3], 12);
+    ASSERT_EQ(log.entries.size(), 4u);
+    const uint32_t tags[] = {0, 1, 2, 12};
+    const int lanes[] = {0, 1, 2, 2};
+    for (size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(log.entries[i].tag, tags[i]);
+        EXPECT_EQ(log.entries[i].lane, lanes[i]);
+        EXPECT_EQ(log.entries[i].hub_ms, 0.5);
+    }
     EXPECT_GE(engine.windowsRun(), 1u);
+    EXPECT_EQ(engine.postsDrained(), 4u);
+}
+
+/**
+ * Two lanes on different worker threads post at the same `when`:
+ * the replay order is (when, lane, seq) whatever thread ran which
+ * lane, and a post at an earlier time from the higher lane goes
+ * first.
+ */
+TEST(ParallelEngine, SameTimePostsFromTwoLanesReplayInLaneOrder)
+{
+    for (int threads : {1, 2}) {
+        ParallelEngine::Config config;
+        config.threads = threads;
+        config.lookahead = 1.0;
+        ParallelEngine engine(2, config);
+        PostLog log;
+        log.engine = &engine;
+        engine.setPostHandler(&PostLog::record, &log);
+
+        engine.shardQueue(1).schedule(0.25, [&engine] {
+            engine.post(1, 0.25, 100);
+        });
+        for (int lane : {1, 0}) {
+            engine.shardQueue(lane).schedule(0.5, [&engine, lane] {
+                for (uint32_t seq = 0; seq < 3; ++seq) {
+                    engine.post(lane, 0.5,
+                                static_cast<uint32_t>(lane * 10) +
+                                    seq);
+                }
+            });
+        }
+        engine.run();
+        const uint32_t expected[] = {100, 0, 1, 2, 10, 11, 12};
+        ASSERT_EQ(log.entries.size(), 7u) << threads;
+        for (size_t i = 0; i < 7; ++i)
+            EXPECT_EQ(log.entries[i].tag, expected[i]) << threads;
+        EXPECT_EQ(log.entries[0].hub_ms, 0.25);
+        EXPECT_EQ(log.entries[6].hub_ms, 0.5);
+        EXPECT_EQ(engine.postsDrained(), 7u);
+    }
 }
 
 /** Posts interleave with hub events by time, not just amongst
@@ -467,14 +531,22 @@ TEST(ParallelEngine, PostsInterleaveWithHubEventsByTime)
     ParallelEngine engine(1, config);
 
     std::vector<std::pair<char, double>> trace;
+    struct Context
+    {
+        ParallelEngine *engine;
+        std::vector<std::pair<char, double>> *trace;
+    } context{&engine, &trace};
+    engine.setPostHandler(
+        [](void *raw, int, uint32_t) {
+            Context &ctx = *static_cast<Context *>(raw);
+            ctx.trace->emplace_back('p', ctx.engine->hubQueue().now());
+        },
+        &context);
     engine.hubQueue().schedule(0.25, [&] {
         trace.emplace_back('h', engine.hubQueue().now());
     });
-    engine.shardQueue(0).schedule(0.5, [&] {
-        engine.post(0, 0.5, [&] {
-            trace.emplace_back('p', engine.hubQueue().now());
-        });
-    });
+    engine.shardQueue(0).schedule(0.5,
+                                  [&] { engine.post(0, 0.5, 7); });
     engine.hubQueue().schedule(0.75, [&] {
         trace.emplace_back('h', engine.hubQueue().now());
     });
@@ -484,6 +556,9 @@ TEST(ParallelEngine, PostsInterleaveWithHubEventsByTime)
     // The post runs with the hub clock at its post time.
     EXPECT_EQ(trace[1], (std::pair<char, double>{'p', 0.5}));
     EXPECT_EQ(trace[2], (std::pair<char, double>{'h', 0.75}));
+    // Two hub events fired; the post is counted apart from them.
+    EXPECT_EQ(engine.hubEventsFired(), 2u);
+    EXPECT_EQ(engine.postsDrained(), 1u);
 }
 
 TEST(ParallelEngine, ClampsThreadsAndValidatesConfig)
