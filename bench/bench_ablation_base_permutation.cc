@@ -14,7 +14,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Ablation: satisfactory vs unsatisfactory base permutation");
+                     "Ablation: satisfactory vs unsatisfactory base permutation",
+                     bench::kGridFlags | bench::kProbeFlags);
     const DeviceModel &model = device::hp2247();
 
     // Satisfactory (Bose) vs identity base permutation, 13 disks.
@@ -52,18 +53,10 @@ main(int argc, char **argv)
     std::vector<harness::Experiment> experiments;
     for (const auto &[name, layout] : variants) {
         for (int clients : client_counts) {
-            harness::Experiment experiment;
-            experiment.point = {figure, name, 8, clients,
-                                AccessType::Read, ArrayMode::Degraded};
-            experiment.config = bench::defaultSimConfig();
-            experiment.config.clients = clients;
-            experiment.config.access_units = 1;
-            experiment.config.type = AccessType::Read;
-            experiment.config.mode = ArrayMode::Degraded;
-            experiment.config.failed_disk = 0;
-            experiment.layout = layout;
-            experiment.device = &model;
-            experiments.push_back(std::move(experiment));
+            experiments.push_back(bench::paperPoint(
+                {figure, name, 8, clients, AccessType::Read,
+                 ArrayMode::Degraded},
+                *layout, model));
         }
     }
     harness::RunSummary summary =

@@ -63,7 +63,8 @@ int
 main(int argc, char **argv)
 {
     bench::parseArgs(argc, argv,
-                     "Ablation: rebuild parallelism vs duration and client response time");
+                     "Ablation: rebuild parallelism vs duration and client response time",
+                     bench::kGridFlags);
     PddlLayout layout = PddlLayout::make(13, 4);
     const int64_t stripes = bench::fullFidelity() ? 39000 : 3900;
 
@@ -81,9 +82,9 @@ main(int argc, char **argv)
                                     std::to_string(parallel),
                                 24, clients, AccessType::Read,
                                 ArrayMode::Degraded};
-            experiment.custom = [&layout, clients, parallel, stripes](
-                                    uint64_t seed,
-                                    harness::Extras &extras) {
+            experiment.run = [&layout, clients, parallel, stripes](
+                                 uint64_t seed, const obs::Probe &,
+                                 harness::Extras &extras) {
                 Outcome o =
                     run(layout, clients, parallel, stripes, seed);
                 extras.emplace_back("rebuild_ms", o.rebuild_ms);

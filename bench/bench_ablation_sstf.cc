@@ -12,7 +12,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Ablation: SSTF scan-window depth vs response time");
+                     "Ablation: SSTF scan-window depth vs response time",
+                     bench::kGridFlags | bench::kProbeFlags);
     PddlLayout layout = PddlLayout::make(13, 4);
     const DeviceModel &model = device::hp2247();
 
@@ -24,22 +25,14 @@ main(int argc, char **argv)
     std::vector<harness::Experiment> experiments;
     for (int window : windows) {
         for (int clients : client_counts) {
-            harness::Experiment experiment;
+            ArrayConfig array;
+            array.sstf_window = window;
             // The window is part of the series label so that each
             // sweep point derives a distinct seed.
-            experiment.point = {figure,
-                                "PDDL/window=" +
-                                    std::to_string(window),
-                                24, clients, AccessType::Read,
-                                ArrayMode::FaultFree};
-            experiment.config = bench::defaultSimConfig();
-            experiment.config.clients = clients;
-            experiment.config.access_units = 3; // 24 KB
-            experiment.config.type = AccessType::Read;
-            experiment.config.sstf_window = window;
-            experiment.layout = &layout;
-            experiment.device = &model;
-            experiments.push_back(std::move(experiment));
+            experiments.push_back(bench::paperPoint(
+                {figure, "PDDL/window=" + std::to_string(window), 24,
+                 clients, AccessType::Read, ArrayMode::FaultFree},
+                layout, model, array));
         }
     }
     harness::RunSummary summary =

@@ -12,7 +12,8 @@ main(int argc, char **argv)
 {
     using namespace pddl;
     bench::parseArgs(argc, argv,
-                     "Ablation: stripe-unit size at a fixed 96 KB logical access");
+                     "Ablation: stripe-unit size at a fixed 96 KB logical access",
+                     bench::kGridFlags | bench::kProbeFlags);
     PddlLayout layout = PddlLayout::make(13, 4);
     const DeviceModel &model = device::hp2247();
 
@@ -24,20 +25,15 @@ main(int argc, char **argv)
     std::vector<harness::Experiment> experiments;
     for (int unit_kb : unit_kbs) {
         for (int clients : client_counts) {
-            harness::Experiment experiment;
-            experiment.point = {figure,
-                                "PDDL/unit=" +
-                                    std::to_string(unit_kb) + "KB",
-                                96, clients, AccessType::Read,
-                                ArrayMode::FaultFree};
-            experiment.config = bench::defaultSimConfig();
-            experiment.config.clients = clients;
-            experiment.config.access_units = 96 / unit_kb;
-            experiment.config.unit_sectors = unit_kb * 2; // 512 B
-            experiment.config.type = AccessType::Read;
-            experiment.layout = &layout;
-            experiment.device = &model;
-            experiments.push_back(std::move(experiment));
+            ClosedLoopConfig workload = bench::defaultClosedLoop();
+            workload.clients = clients;
+            workload.access_units = 96 / unit_kb;
+            ArrayConfig array;
+            array.unit_sectors = unit_kb * 2; // 512 B sectors
+            experiments.push_back(harness::closedLoopPoint(
+                {figure, "PDDL/unit=" + std::to_string(unit_kb) + "KB",
+                 96, clients, AccessType::Read, ArrayMode::FaultFree},
+                layout, model, workload, array));
         }
     }
     harness::RunSummary summary =

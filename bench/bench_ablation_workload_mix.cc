@@ -17,7 +17,8 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Extension: open-loop OLTP-ish workload mix across offered loads",
-                     bench::kLayoutFlag);
+                     bench::kLayoutFlag | bench::kGridFlags |
+                         bench::kProbeFlags);
     auto layouts = bench::evaluatedLayouts();
     const DeviceModel &model = device::hp2247();
     const bool full = bench::fullFidelity();
@@ -43,23 +44,28 @@ main(int argc, char **argv)
                         std::to_string(static_cast<int>(rate)) + "/s",
                     0, 0, AccessType::Read, mode};
                 const Layout *l = layout.get();
-                experiment.custom =
+                experiment.run =
                     [l, &model, mode, rate, full](
-                        uint64_t seed, harness::Extras &extras) {
-                        OpenLoopSimConfig config;
-                        config.workload.arrivals_per_s = rate;
-                        config.workload.mix = {
+                        uint64_t seed, const obs::Probe &probe,
+                        harness::Extras &extras) {
+                        OpenLoopConfig config;
+                        config.arrivals_per_s = rate;
+                        config.mix = {
                             AccessMixEntry{1, AccessType::Read, 0.7},
                             AccessMixEntry{3, AccessType::Write, 0.2},
                             AccessMixEntry{12, AccessType::Read, 0.1},
                         };
-                        config.mode = mode;
-                        config.failed_disk = 0;
-                        config.workload.samples = full ? 20000 : 2500;
-                        config.workload.warmup = full ? 2000 : 250;
-                        config.workload.seed = seed;
+                        config.samples = full ? 20000 : 2500;
+                        config.warmup = full ? 2000 : 250;
+                        config.seed = seed;
+                        config.probe = probe;
+                        ArrayConfig array;
+                        array.mode = mode;
+                        array.failed_disk = 0;
+                        array.probe = probe;
+                        OpenLoopClient client(config);
                         OpenLoopResult r =
-                            runOpenLoop(*l, model, config);
+                            runOnArray(*l, model, array, client);
                         extras.emplace_back("p95_response_ms",
                                             r.p95_response_ms);
                         extras.emplace_back(

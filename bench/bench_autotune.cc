@@ -270,7 +270,8 @@ main(int argc, char **argv)
         "Self-tuning scenario search: anneal layout, striping, "
         "placement and cache knobs from the hand-picked traffic "
         "defaults, then verify the winner on a held-out workload "
-        "(rows are bit-identical for every --threads value).");
+        "(rows are bit-identical for every --threads value).",
+        bench::kGridFlags | bench::kSimThreadsFlag);
     cli.addInt("chains", "n", "independent annealing chains", 1);
     cli.addInt("moves", "n", "mutation attempts per chain", 1);
     cli.addString("objective", "kind",
@@ -354,8 +355,9 @@ main(int argc, char **argv)
                             AccessType::Write, ArrayMode::FaultFree};
         const uint64_t seed = row.seed;
         const ScenarioSpec *spec = row.spec;
-        experiment.custom = [spec, seed, objective](
-                                uint64_t, harness::Extras &extras) {
+        experiment.run = [spec, seed, objective](
+                             uint64_t, const obs::Probe &,
+                             harness::Extras &extras) {
             return scenarioRow(*spec, seed, objective, extras);
         };
         experiments.push_back(std::move(experiment));
@@ -367,8 +369,8 @@ main(int argc, char **argv)
                             100, AccessType::Write,
                             ArrayMode::FaultFree};
         const tune::TuneChain *stats = &chain;
-        experiment.custom = [stats](uint64_t,
-                                    harness::Extras &extras) {
+        experiment.run = [stats](uint64_t, const obs::Probe &,
+                                 harness::Extras &extras) {
             extras.emplace_back("best_objective",
                                 stats->best_objective);
             extras.emplace_back("evaluated", stats->evaluated);

@@ -232,7 +232,7 @@ SimResult
 runRequestRate(const Layout &layout, const DeviceModel &model,
                AccessType type, uint64_t seed, harness::Extras &extras)
 {
-    SimConfig config;
+    ClosedLoopConfig config;
     config.clients = 8;
     config.access_units = 3; // 24 KB: mixes small + multi-unit ops
     config.type = type;
@@ -244,7 +244,8 @@ runRequestRate(const Layout &layout, const DeviceModel &model,
 
     const uint64_t allocs_before = allocationCount();
     const auto start = Clock::now();
-    SimResult result = runClosedLoop(layout, model, config);
+    ClosedLoopClient client(config);
+    SimResult result = runOnArray(layout, model, ArrayConfig{}, client);
     const double wall_s = secondsSince(start);
     const uint64_t allocs = allocationCount() - allocs_before;
 
@@ -441,17 +442,17 @@ main(int argc, char **argv)
 {
     using namespace pddl;
 
+    // The device is fixed (hp2247): --layout is the only spec flag.
     bench::BenchCli cli(
         argv[0],
         "Engine microbenchmark: events/sec, requests/sec, mapping "
         "ns/op, disk service ns/op, zipf sampler set-up ms and "
         "allocations/event of the simulation core "
-        "(host-time based; rows are not run-to-run deterministic).");
+        "(host-time based; rows are not run-to-run deterministic).",
+        bench::kGridFlags | bench::kLayoutFlag);
     cli.addBool("check",
                 "enforce CI floors (events/sec, allocations/"
                 "event) and exit 1 on regression");
-    // The device is fixed (hp2247): only --layout is honoured.
-    cli.addLayoutFlag();
     // Timing rows run serially by default; --threads overrides.
     cli.parseOrExit(argc, argv, /*default_threads=*/1);
 
@@ -466,8 +467,8 @@ main(int argc, char **argv)
                             "event_queue/" + std::to_string(timers), 0,
                             timers, AccessType::Read,
                             ArrayMode::FaultFree};
-        experiment.custom = [timers](uint64_t,
-                                     harness::Extras &extras) {
+        experiment.run = [timers](uint64_t, const obs::Probe &,
+                                  harness::Extras &extras) {
             return runEventMesh(timers, extras);
         };
         experiments.push_back(std::move(experiment));
@@ -485,9 +486,9 @@ main(int argc, char **argv)
                             harness::accessTypeName(type);
         experiment.point = {"Engine", label, 24, 8, type,
                             ArrayMode::FaultFree};
-        experiment.custom = [pddl_layout, &model, type](
-                                uint64_t seed,
-                                harness::Extras &extras) {
+        experiment.run = [pddl_layout, &model, type](
+                             uint64_t seed, const obs::Probe &,
+                             harness::Extras &extras) {
             return runRequestRate(*pddl_layout, model, type, seed,
                                   extras);
         };
@@ -500,7 +501,8 @@ main(int argc, char **argv)
                             "map/" + std::string(layout->family()), 0,
                             0, AccessType::Read, ArrayMode::FaultFree};
         const Layout *l = layout.get();
-        experiment.custom = [l](uint64_t, harness::Extras &extras) {
+        experiment.run = [l](uint64_t, const obs::Probe &,
+                             harness::Extras &extras) {
             return runMappingRate(*l, extras);
         };
         experiments.push_back(std::move(experiment));
@@ -510,8 +512,8 @@ main(int argc, char **argv)
         harness::Experiment experiment;
         experiment.point = {"Engine", "disk_service/hp2247", 0, 0,
                             AccessType::Read, ArrayMode::FaultFree};
-        experiment.custom = [&model](uint64_t,
-                                     harness::Extras &extras) {
+        experiment.run = [&model](uint64_t, const obs::Probe &,
+                                  harness::Extras &extras) {
             return runDiskService(model, extras);
         };
         experiments.push_back(std::move(experiment));
@@ -524,8 +526,8 @@ main(int argc, char **argv)
         experiment.point = {"Engine",
                             "zipf_setup/" + std::to_string(domain), 0,
                             0, AccessType::Read, ArrayMode::FaultFree};
-        experiment.custom = [domain](uint64_t,
-                                     harness::Extras &extras) {
+        experiment.run = [domain](uint64_t, const obs::Probe &,
+                                  harness::Extras &extras) {
             return runZipfSetup(domain, extras);
         };
         experiments.push_back(std::move(experiment));

@@ -20,7 +20,7 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Figure 3: analytic disk working-set sizes per access size and mode",
-                     bench::kLayoutFlag);
+                     bench::kLayoutFlag | bench::kGridFlags);
     auto layouts = bench::evaluatedLayouts();
 
     const char *figure = "Figure 3";
@@ -37,8 +37,8 @@ main(int argc, char **argv)
                                 ArrayMode::FaultFree};
             const Layout *l = layout.get();
             const int units = bench::unitsForKb(kb);
-            experiment.custom = [l, units](uint64_t,
-                                           harness::Extras &extras) {
+            experiment.run = [l, units](uint64_t, const obs::Probe &,
+                                        harness::Extras &extras) {
                 extras.emplace_back(
                     "ffread", averageWorkingSet(*l, units,
                                                 AccessType::Read));

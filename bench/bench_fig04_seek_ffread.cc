@@ -12,7 +12,8 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Figure 4: fault-free read seek/no-switch counts per access",
-                     bench::kDeviceFlag | bench::kLayoutFlag);
+                     bench::kDeviceFlag | bench::kLayoutFlag |
+                         bench::kGridFlags | bench::kProbeFlags);
     bench::runSeekCountFigure("Figure 4",
                               "Fault free read; seek and no-switch "
                               "counts",

@@ -12,7 +12,8 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Figure 6: degraded (single-failure) read response times, 8-240 KB",
-                     bench::kDeviceFlag | bench::kLayoutFlag);
+                     bench::kDeviceFlag | bench::kLayoutFlag |
+                         bench::kGridFlags | bench::kProbeFlags);
     bench::runResponseTimeFigure(
         "Figure 6", "Read response times, single failure mode",
         {8, 48, 96, 144, 192, 240}, AccessType::Read,

@@ -12,7 +12,8 @@ main(int argc, char **argv)
     using namespace pddl;
     bench::parseArgs(argc, argv,
                      "Figure 14: 336 KB response times, reads and writes, both modes",
-                     bench::kDeviceFlag | bench::kLayoutFlag);
+                     bench::kDeviceFlag | bench::kLayoutFlag |
+                         bench::kGridFlags | bench::kProbeFlags);
     bench::runResponseTimeFigure("Figure 14 (top left)",
                                  "336 KB reads, fault free", {336},
                                  AccessType::Read, ArrayMode::FaultFree);

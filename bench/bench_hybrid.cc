@@ -35,9 +35,10 @@
  * price -- the class-aware placement the heterogeneous-array
  * literature argues for.
  *
- * Rows report p50/p95/p99/p99.9 from the client.latency_ms
+ * Rows report p50/p95/p99/p99.9 from the client's latency
  * histogram, whose bucket bounds come from the device registry
- * (device::latencyBoundsForDevices, applied inside the runner):
+ * (device::latencyBoundsForDevices, via the volume's
+ * latencyBoundsMs()):
  * flash-class rows keep sub-millisecond resolution instead of
  * collapsing into bucket 0. Rows contain only simulated quantities,
  * so BENCH_hybrid.json is byte-identical across --threads and
@@ -325,12 +326,13 @@ main(int argc, char **argv)
         "fronting PDDL rotating disks vs homogeneous configurations "
         "of equal hardware cost, under hot-spot traffic (rows are "
         "bit-identical for every --threads and --sim-threads "
-        "value).");
+        "value).",
+        bench::kGridFlags | bench::kSimThreadsFlag |
+            bench::kScenarioFlag);
     cli.addBool("check",
                 "enforce CI floors (equal cost budgets; the hybrid "
                 "beats every capacity-feasible homogeneous config on "
                 "mean and p99) and exit 1 on regression");
-    cli.addScenarioFlag();
     cli.parseOrExit(argc, argv);
     bench::options().deterministic_json = true;
 
@@ -367,8 +369,8 @@ main(int argc, char **argv)
                             write_heavy ? AccessType::Write
                                         : AccessType::Read,
                             ArrayMode::FaultFree};
-        experiment.custom = [&row](uint64_t seed,
-                                   harness::Extras &extras) {
+        experiment.run = [&row](uint64_t seed, const obs::Probe &,
+                                harness::Extras &extras) {
             return runRow(row, seed, extras);
         };
         experiments.push_back(std::move(experiment));

@@ -124,8 +124,8 @@ addDraidPoints(std::vector<harness::Experiment> &experiments,
                                         shape),
                             shape.n, shape.spares, AccessType::Read,
                             ArrayMode::Degraded};
-        experiment.custom = [shape, derand](uint64_t,
-                                            harness::Extras &extras) {
+        experiment.run = [shape, derand](uint64_t, const obs::Probe &,
+                                         harness::Extras &extras) {
             LayoutSearchOptions opt;
             opt.chains = kChains;
             opt.moves = derand ? movesFor(shape.n) : 0;
@@ -164,8 +164,9 @@ addLayoutPoint(std::vector<harness::Experiment> &experiments,
     experiment.point = {"LayoutScale", seriesLabel(series, shape),
                         shape.n, shape.spares, AccessType::Read,
                         ArrayMode::Degraded};
-    experiment.custom = [build = std::move(build)](
-                            uint64_t, harness::Extras &extras) {
+    experiment.run = [build = std::move(build)](
+                         uint64_t, const obs::Probe &,
+                         harness::Extras &extras) {
         std::unique_ptr<Layout> layout = build();
         ImbalanceEvaluator eval =
             ImbalanceEvaluator::forLayout(*layout);
@@ -333,7 +334,8 @@ main(int argc, char **argv)
         "imbalance vs array size for PDDL, developed-random rows, "
         "derandomized-random and t-design layouts. Rows are exact "
         "integer tallies -- BENCH_layout_scale.json is byte-identical "
-        "at every --threads value.");
+        "at every --threads value.",
+        bench::kGridFlags | bench::kSimThreadsFlag);
     cli.addBool("check",
                 "verify swapDelta and the incremental deltas match the "
                 "full-recompute audit bit-for-bit, enforce the 10x "

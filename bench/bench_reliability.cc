@@ -31,7 +31,8 @@ main(int argc, char **argv)
 {
     bench::parseArgs(argc, argv,
                      "Reliability: Monte-Carlo sweep of failure rate "
-                     "x rebuild aggressiveness x layout");
+                     "x rebuild aggressiveness x layout",
+                     bench::kGridFlags);
     const bool full = bench::fullFidelity();
     const DeviceModel &model = pddl::device::hp2247();
 

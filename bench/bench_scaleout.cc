@@ -369,7 +369,8 @@ main(int argc, char **argv)
         "striped over 1/2/4/8 PDDL shards, healthy and with a "
         "single-shard disk failure (simulated rates; rows are "
         "bit-identical for every --threads and --sim-threads "
-        "value).");
+        "value).",
+        bench::kGridFlags | bench::kSimThreadsFlag);
     cli.addBool("check",
                 "enforce CI floors (4-shard >= 3x 1-shard req/s, "
                 "fault rows rebuild without data loss, 64-shard "
@@ -396,9 +397,9 @@ main(int argc, char **argv)
                                 AccessType::Read,
                                 faulted ? ArrayMode::Degraded
                                         : ArrayMode::FaultFree};
-            experiment.custom = [shards, faulted](
-                                    uint64_t seed,
-                                    harness::Extras &extras) {
+            experiment.run = [shards, faulted](
+                                 uint64_t seed, const obs::Probe &,
+                                 harness::Extras &extras) {
                 return runScaleout(shards, faulted, seed, extras);
             };
             experiments.push_back(std::move(experiment));

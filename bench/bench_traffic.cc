@@ -19,7 +19,7 @@
  * configuration (volume, cache budget, rates) for a validated spec
  * of your own; the panels then vary skew/arrival/health on top of it.
  *
- * Every row reports p50/p95/p99/p99.9 from the client.latency_ms
+ * Every row reports p50/p95/p99/p99.9 from the client's latency
  * histogram as first-class JSON columns, plus the cache counters
  * (hit rate, absorbed writes, destage runs, stalls). Rows contain
  * only simulated quantities, so BENCH_traffic.json is byte-identical
@@ -308,7 +308,9 @@ main(int argc, char **argv)
         "under skewed/bursty load over a 2-shard PDDL volume, with "
         "and without the write-back cache tier (rows are "
         "bit-identical for every --threads and --sim-threads "
-        "value).");
+        "value).",
+        bench::kGridFlags | bench::kSimThreadsFlag |
+            bench::kScenarioFlag);
     cli.addString("skew", "spec",
                   "narrow the traffic panel to one offset spec: "
                   "uniform, zipf:<theta> or hot:<fraction>,<weight>",
@@ -336,7 +338,6 @@ main(int argc, char **argv)
                 "cached zipf p99 beats uncached, rebuilding rows "
                 "loss-free, stalls drained) and exit 1 on "
                 "regression");
-    cli.addScenarioFlag();
     cli.parseOrExit(argc, argv);
     bench::options().deterministic_json = true;
 
@@ -463,8 +464,8 @@ main(int argc, char **argv)
                     row.spec.faults.empty()
                 ? ArrayMode::FaultFree
                 : ArrayMode::Degraded};
-        experiment.custom = [&row](uint64_t seed,
-                                   harness::Extras &extras) {
+        experiment.run = [&row](uint64_t seed, const obs::Probe &,
+                                harness::Extras &extras) {
             return runRow(row, seed, extras);
         };
         experiments.push_back(std::move(experiment));

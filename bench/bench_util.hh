@@ -15,7 +15,8 @@
  * worker count; results are bit-identical for every thread count
  * because each point's RNG seed is derived from its identity, never
  * from scheduling. --json <dir> additionally emits one machine-
- * readable BENCH_<figure>.json per figure.
+ * readable BENCH_<figure>.json per figure. Each bench registers only
+ * the bench-wide flags it reads (BenchFlags).
  */
 
 #ifndef PDDL_BENCH_BENCH_UTIL_HH
@@ -29,6 +30,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/layout_spec.hh"
@@ -72,11 +74,14 @@ fullFidelity()
     return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
-/** Simulation defaults: fast but shape-preserving, or Table 2 exact. */
-inline SimConfig
-defaultSimConfig()
+/**
+ * The closed loop's stopping rule: fast but shape-preserving, or
+ * Table 2 exact.
+ */
+inline ClosedLoopConfig
+defaultClosedLoop()
 {
-    SimConfig config;
+    ClosedLoopConfig config;
     if (fullFidelity()) {
         config.relative_tolerance = 0.02;
         config.min_samples = 1000;
@@ -99,6 +104,29 @@ printRule(int width)
         std::fputs("----------", stdout);
     std::fputs("\n", stdout);
 }
+
+/**
+ * Bench-wide flags. Each is registered only by the benches that read
+ * it (the BenchCli / parseArgs `flags` argument); everywhere else it
+ * is an unknown option and exits 2 instead of being accepted and
+ * ignored.
+ */
+enum BenchFlags : unsigned
+{
+    kNoBenchFlags = 0,
+    /** --device: the bench simulates benchDevice(). */
+    kDeviceFlag = 1u << 0,
+    /** --layout: the bench evaluates evaluatedLayouts(). */
+    kLayoutFlag = 1u << 1,
+    /** --json, --threads: the bench runs its grids through runGrid(). */
+    kGridFlags = 1u << 2,
+    /** --metrics, --trace: every grid point threads its probe. */
+    kProbeFlags = 1u << 3,
+    /** --sim-threads: the bench's scenarios run the parallel engine. */
+    kSimThreadsFlag = 1u << 4,
+    /** --scenario: the bench's rows start from a base ScenarioSpec. */
+    kScenarioFlag = 1u << 5,
+};
 
 /** Command-line options shared by every bench binary. */
 struct BenchOptions
@@ -124,17 +152,15 @@ struct BenchOptions
     /** --layout spec; empty keeps each bench's evaluated set. */
     std::string layout_spec;
     /**
-     * The bench registered --device / --layout: benchDevice() and
-     * evaluatedLayouts() assert it, so a bench cannot read a spec
-     * flag it would reject.
+     * The BenchFlags the bench registered: benchDevice(),
+     * evaluatedLayouts() and runGrid() assert theirs, so a bench
+     * cannot read a flag it would reject.
      */
-    bool device_flag = false;
-    bool layout_flag = false;
+    unsigned flags = kNoBenchFlags;
     /**
      * --scenario: a validated ScenarioSpec (path or inline JSON)
-     * that the benches registering it (BenchCli::addScenarioFlag)
-     * use as the base configuration in place of their built-in
-     * defaults; empty keeps the defaults.
+     * that the benches registering it use as the base configuration
+     * in place of their built-in defaults; empty keeps the defaults.
      */
     std::string scenario;
     /**
@@ -161,7 +187,7 @@ options()
 inline std::vector<std::unique_ptr<Layout>>
 evaluatedLayouts()
 {
-    assert(options().layout_flag &&
+    assert((options().flags & kLayoutFlag) != 0 &&
            "a bench reading evaluatedLayouts() registers --layout");
     std::vector<std::unique_ptr<Layout>> layouts;
     if (!options().layout_spec.empty()) {
@@ -183,7 +209,7 @@ evaluatedLayouts()
 inline const DeviceModel &
 benchDevice()
 {
-    assert(options().device_flag &&
+    assert((options().flags & kDeviceFlag) != 0 &&
            "a bench reading benchDevice() registers --device");
     static std::shared_ptr<const DeviceModel> owned;
     if (!options().device_spec.empty() && owned == nullptr)
@@ -208,133 +234,113 @@ suiteMetrics()
 }
 
 /**
- * The shared bench command line: every bench binary gets --json,
- * --threads, --metrics, --trace and --help from here, plus whatever
- * binary-specific flags it registers before parseOrExit(). This is
- * the single registration point for bench-wide flags -- a flag added
- * in the constructor reaches all bench binaries at once -- and the
- * single owner of the exit policy: --help prints usage and exits 0,
- * unknown flags and missing values print a clear error and exit 2.
+ * The shared bench command line: --help plus the bench-wide flags
+ * the binary opts into (BenchFlags), then whatever binary-specific
+ * flags it registers before parseOrExit(). This is the single
+ * registration point for bench-wide flags and the single owner of
+ * the exit policy: --help prints usage and exits 0, unknown flags
+ * and missing values print a clear error and exit 2.
  */
 class BenchCli
 {
   public:
-    BenchCli(const char *program, const char *description)
+    BenchCli(const char *program, const char *description,
+             unsigned flags)
         : parser_(program, description)
     {
-        parser_.addString("json", "dir",
-                          "also write machine-readable "
-                          "BENCH_<figure>.json files into <dir>");
-        parser_.addInt("threads", "n",
-                       "worker threads for the experiment grid "
-                       "(default: PDDL_BENCH_THREADS or hardware "
-                       "concurrency; results are bit-identical for "
-                       "any value)",
-                       1);
-        parser_.addInt("sim-threads", "n",
-                       "worker threads within one scenario (the "
-                       "parallel engine's shard lanes; default: "
-                       "PDDL_SIM_THREADS or 1; results are "
-                       "bit-identical for any value)",
-                       1);
-        parser_.addString("metrics", "file",
-                          "write the merged metrics snapshot as JSON "
-                          "and embed per-point metrics in BENCH rows");
-        parser_.addString("trace", "file",
-                          "record the first grid point as Chrome "
-                          "trace_event JSON (load in Perfetto or "
-                          "chrome://tracing)");
-        epilog_ = "environment:\n"
-                  "  PDDL_BENCH_FULL=1     paper-fidelity stopping rule "
-                  "(slower)\n"
-                  "  PDDL_BENCH_THREADS=n  default worker count\n"
-                  "  PDDL_SIM_THREADS=n    default intra-scenario worker "
-                  "count\n";
-        parser_.setEpilog(epilog_);
-    }
-
-    /**
-     * Register --device, for the benches whose drives come from
-     * benchDevice(). Every other bench leaves it unregistered, so
-     * the flag is rejected there instead of being accepted and
-     * ignored.
-     */
-    void
-    addDeviceFlag()
-    {
-        parser_.addString(
-            "device", "spec",
-            "drive model for every simulated disk (default: hp2247, "
-            "the paper's drive; see the spec grammar below)", false,
-            [](const std::string &value) {
-                std::shared_ptr<const DeviceModel> model;
-                std::string error;
-                if (!device::parseDeviceSpec(value, model, error))
-                    return error;
-                return std::string();
-            });
-        epilog_ += "\nregistered device specs:\n";
-        for (const std::string &name : device::deviceSpecNames())
-            epilog_ += "  " + name + "\n";
-        parser_.setEpilog(epilog_);
-        options().device_flag = true;
-    }
-
-    /**
-     * Register --layout, for the benches whose layouts come from
-     * evaluatedLayouts(); rejected everywhere else, like --device.
-     */
-    void
-    addLayoutFlag()
-    {
-        parser_.addString(
-            "layout", "spec",
-            "replace the bench's evaluated layout set with this one "
-            "layout (see the spec grammar below)", false,
-            [](const std::string &value) {
-                layouts::ParsedLayoutSpec spec;
-                std::string error;
-                if (!layouts::parseLayoutSpec(value, spec, error))
-                    return error;
-                // The evaluated set lives on the 13-disk Table 2
-                // array; a spec that parses but cannot build there
-                // (mirror copies not dividing 13, width > 13) must
-                // fail at the flag, not mid-bench.
-                try {
-                    layouts::buildLayout(spec, 13);
-                } catch (const std::exception &e) {
-                    return std::string(e.what());
-                }
-                return std::string();
-            });
-        epilog_ += "\nregistered layout specs:\n";
-        for (const std::string &name : layouts::layoutSpecNames())
-            epilog_ += "  " + name + "\n";
-        parser_.setEpilog(epilog_);
-        options().layout_flag = true;
-    }
-
-    /**
-     * Register --scenario, for the benches whose rows start from a
-     * base ScenarioSpec (read back through options().scenario). Every
-     * other bench leaves it unregistered, so the flag is rejected
-     * there instead of being accepted and ignored.
-     */
-    void
-    addScenarioFlag()
-    {
-        parser_.addString(
-            "scenario", "file|json",
-            "base scenario every row starts from: a ScenarioSpec JSON "
-            "file, or the JSON inline; validated at the flag with "
-            "field-anchored diagnostics", false,
-            [](const std::string &value) {
-                ScenarioSpec spec;
-                std::string error;
-                if (!loadScenario(value, spec, error))
-                    return error;
-                return std::string();
-            });
+        options().flags = flags;
+        std::string epilog = "environment:\n"
+                             "  PDDL_BENCH_FULL=1     paper-fidelity "
+                             "stopping rule (slower)\n";
+        if ((flags & kGridFlags) != 0) {
+            parser_.addString("json", "dir",
+                              "also write machine-readable "
+                              "BENCH_<figure>.json files into <dir>");
+            parser_.addInt("threads", "n",
+                           "worker threads for the experiment grid "
+                           "(default: PDDL_BENCH_THREADS or hardware "
+                           "concurrency; results are bit-identical "
+                           "for any value)",
+                           1);
+            epilog += "  PDDL_BENCH_THREADS=n  default worker count\n";
+        }
+        if ((flags & kSimThreadsFlag) != 0) {
+            parser_.addInt("sim-threads", "n",
+                           "worker threads within one scenario (the "
+                           "parallel engine's shard lanes; default: "
+                           "PDDL_SIM_THREADS or 1; results are "
+                           "bit-identical for any value)",
+                           1);
+            epilog += "  PDDL_SIM_THREADS=n    default intra-scenario "
+                      "worker count\n";
+        }
+        if ((flags & kProbeFlags) != 0) {
+            parser_.addString("metrics", "file",
+                              "write the merged metrics snapshot as "
+                              "JSON and embed per-point metrics in "
+                              "BENCH rows");
+            parser_.addString("trace", "file",
+                              "record the first grid point as Chrome "
+                              "trace_event JSON (load in Perfetto or "
+                              "chrome://tracing)");
+        }
+        if ((flags & kDeviceFlag) != 0) {
+            parser_.addString(
+                "device", "spec",
+                "drive model for every simulated disk (default: "
+                "hp2247, the paper's drive; see the spec grammar "
+                "below)",
+                false, [](const std::string &value) {
+                    std::shared_ptr<const DeviceModel> model;
+                    std::string error;
+                    if (!device::parseDeviceSpec(value, model, error))
+                        return error;
+                    return std::string();
+                });
+            epilog += "\nregistered device specs:\n";
+            for (const std::string &name : device::deviceSpecNames())
+                epilog += "  " + name + "\n";
+        }
+        if ((flags & kLayoutFlag) != 0) {
+            parser_.addString(
+                "layout", "spec",
+                "replace the bench's evaluated layout set with this "
+                "one layout (see the spec grammar below)",
+                false, [](const std::string &value) {
+                    layouts::ParsedLayoutSpec spec;
+                    std::string error;
+                    if (!layouts::parseLayoutSpec(value, spec, error))
+                        return error;
+                    // The evaluated set lives on the 13-disk Table 2
+                    // array; a spec that parses but cannot build
+                    // there (mirror copies not dividing 13, width >
+                    // 13) must fail at the flag, not mid-bench.
+                    try {
+                        layouts::buildLayout(spec, 13);
+                    } catch (const std::exception &e) {
+                        return std::string(e.what());
+                    }
+                    return std::string();
+                });
+            epilog += "\nregistered layout specs:\n";
+            for (const std::string &name : layouts::layoutSpecNames())
+                epilog += "  " + name + "\n";
+        }
+        if ((flags & kScenarioFlag) != 0) {
+            parser_.addString(
+                "scenario", "file|json",
+                "base scenario every row starts from: a ScenarioSpec "
+                "JSON file, or the JSON inline; validated at the flag "
+                "with field-anchored diagnostics",
+                false, [](const std::string &value) {
+                    ScenarioSpec spec;
+                    std::string error;
+                    if (!loadScenario(value, spec, error))
+                        return error;
+                    return std::string();
+                });
+        }
+        parser_.setEpilog(epilog);
     }
 
     /** Register binary-specific flags before parseOrExit(). */
@@ -424,35 +430,18 @@ class BenchCli
 
   private:
     harness::ArgParser parser_;
-    /** Usage epilog: environment, then each registered spec list. */
-    std::string epilog_;
-};
-
-/** Opt-in flags for parseArgs(): what the bench reads. */
-enum SpecFlags : unsigned
-{
-    kNoSpecFlags = 0,
-    /** --device: the bench simulates benchDevice(). */
-    kDeviceFlag = 1,
-    /** --layout: the bench evaluates evaluatedLayouts(). */
-    kLayoutFlag = 2,
 };
 
 /**
- * Parse the shared bench flags plus the opted-in spec flags. Call
- * first in every bench main() that needs no flags of its own;
- * binaries with their own flags construct a BenchCli instead.
+ * Parse the opted-in bench-wide flags (BenchFlags). Call first in
+ * every bench main() that needs no flags of its own; binaries with
+ * their own flags construct a BenchCli instead.
  */
 inline void
-parseArgs(int argc, char **argv, const char *description = "",
-          unsigned spec_flags = kNoSpecFlags)
+parseArgs(int argc, char **argv, const char *description,
+          unsigned flags)
 {
-    BenchCli cli(argv[0], description);
-    if ((spec_flags & kDeviceFlag) != 0)
-        cli.addDeviceFlag();
-    if ((spec_flags & kLayoutFlag) != 0)
-        cli.addLayoutFlag();
-    cli.parseOrExit(argc, argv);
+    BenchCli(argv[0], description, flags).parseOrExit(argc, argv);
 }
 
 /**
@@ -494,6 +483,8 @@ inline harness::RunSummary
 runGrid(const char *figure, const char *caption,
         const std::vector<harness::Experiment> &experiments)
 {
+    assert((options().flags & kGridFlags) != 0 &&
+           "a bench calling runGrid() registers --json/--threads");
     harness::ExperimentRunner runner(options().threads);
     const bool metrics_on = !options().metrics_path.empty();
     runner.enableMetrics(metrics_on);
@@ -555,6 +546,27 @@ runGrid(const char *figure, const char *caption,
 }
 
 /**
+ * The paper's closed-loop grid point: point.clients clients issuing
+ * point.size_kb accesses of point.type against the array in
+ * point.mode (disk 0 failed when not fault-free), under the
+ * stopping-rule defaults. `array` carries any other array knob a
+ * sweep varies.
+ */
+inline harness::Experiment
+paperPoint(harness::GridPoint point, const Layout &layout,
+           const DeviceModel &device, ArrayConfig array = {})
+{
+    ClosedLoopConfig workload = defaultClosedLoop();
+    workload.clients = point.clients;
+    workload.access_units = unitsForKb(point.size_kb);
+    workload.type = point.type;
+    array.mode = point.mode;
+    array.failed_disk = 0;
+    return harness::closedLoopPoint(std::move(point), layout, device,
+                                    workload, array);
+}
+
+/**
  * Regenerate one response-time figure: for each access size, a panel
  * of mean response time (ms) and achieved throughput (accesses/sec)
  * per layout per client count -- the series the paper plots. All
@@ -579,18 +591,9 @@ runResponseTimeFigure(const char *figure, const char *caption,
             if (skip(*layout))
                 continue;
             for (int clients : kClientCounts) {
-                harness::Experiment experiment;
-                experiment.point = {figure, layout->name(), kb,
-                                    clients, type, mode};
-                experiment.config = defaultSimConfig();
-                experiment.config.clients = clients;
-                experiment.config.access_units = unitsForKb(kb);
-                experiment.config.type = type;
-                experiment.config.mode = mode;
-                experiment.config.failed_disk = 0;
-                experiment.layout = layout.get();
-                experiment.device = &model;
-                experiments.push_back(std::move(experiment));
+                experiments.push_back(paperPoint(
+                    {figure, layout->name(), kb, clients, type, mode},
+                    *layout, model));
             }
         }
     }
@@ -642,20 +645,11 @@ runSeekCountFigure(const char *figure, const char *caption,
     std::vector<harness::Experiment> experiments;
     for (const auto &layout : layouts) {
         for (int kb : kAccessSizesKb) {
-            harness::Experiment experiment;
             // Section 4: counts are almost workload independent; a
             // moderate concurrency keeps queues busy.
-            experiment.point = {figure, layout->name(), kb, 8, type,
-                                mode};
-            experiment.config = defaultSimConfig();
-            experiment.config.clients = 8;
-            experiment.config.access_units = unitsForKb(kb);
-            experiment.config.type = type;
-            experiment.config.mode = mode;
-            experiment.config.failed_disk = 0;
-            experiment.layout = layout.get();
-            experiment.device = &model;
-            experiments.push_back(std::move(experiment));
+            experiments.push_back(paperPoint(
+                {figure, layout->name(), kb, 8, type, mode}, *layout,
+                model));
         }
     }
     harness::RunSummary summary = runGrid(figure, caption, experiments);

@@ -24,17 +24,19 @@ SimResult
 measure(const Layout &layout, ArrayMode mode, int clients, int units,
         AccessType type)
 {
-    SimConfig config;
+    ClosedLoopConfig config;
     config.clients = clients;
     config.access_units = units;
     config.type = type;
-    config.mode = mode;
-    config.failed_disk = 0;
     config.relative_tolerance = 0.05;
     config.min_samples = 300;
     config.max_samples = 6000;
     config.warmup = 150;
-    return runClosedLoop(layout, device::hp2247(), config);
+    ArrayConfig array;
+    array.mode = mode;
+    array.failed_disk = 0;
+    ClosedLoopClient client(config);
+    return runOnArray(layout, device::hp2247(), array, client);
 }
 
 void

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "disk/device_model.hh"
+
 namespace pddl {
 
 const char *
@@ -247,6 +249,12 @@ ArrayController::setMediumErrorHook(
         disks_[d]->setMediumErrorHook(
             [hook, d](int64_t lba) { hook(d, lba); });
     }
+}
+
+const std::vector<double> &
+ArrayController::latencyBoundsMs() const
+{
+    return device::latencyBoundsForDevices({&disks_.front()->device()});
 }
 
 SeekTally

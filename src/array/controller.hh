@@ -130,6 +130,9 @@ class ArrayController : public Target
     /** Logical accesses issued so far. */
     uint64_t accessesIssued() const override { return next_access_id_; }
 
+    /** The drives' latency resolution (every disk shares one model). */
+    const std::vector<double> &latencyBoundsMs() const override;
+
     const Disk &disk(int i) const { return *disks_[i]; }
     const Layout &layout() const { return layout_; }
     const ArrayConfig &config() const { return config_; }

@@ -10,14 +10,16 @@
  * replay -- runs unchanged against one array or a whole volume.
  *
  * The statistics hooks exist because the drivers report seek
- * classifications and issue counts over their measurement window;
- * composite targets roll both up across their shards.
+ * classifications and issue counts over their measurement window,
+ * and bucket their latencies at the target's drive resolution;
+ * composite targets roll all three up across their shards.
  */
 
 #ifndef PDDL_ARRAY_TARGET_HH
 #define PDDL_ARRAY_TARGET_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "array/request_mapper.hh"
 #include "disk/disk.hh"
@@ -47,6 +49,14 @@ class Target
 
     /** Logical accesses issued so far (composite: across shards). */
     virtual uint64_t accessesIssued() const = 0;
+
+    /**
+     * Bucket bounds (ms) for a client latency histogram against this
+     * target: the finest resolution any of its drives needs
+     * (device::latencyBoundsForDevices). Pass-through targets report
+     * their backend's; the default is obs::defaultLatencyBoundsMs().
+     */
+    virtual const std::vector<double> &latencyBoundsMs() const;
 };
 
 } // namespace pddl

@@ -109,6 +109,11 @@ class CacheTier : public Target
      */
     uint64_t accessesIssued() const override { return accesses_; }
 
+    const std::vector<double> &latencyBoundsMs() const override
+    {
+        return backend_.latencyBoundsMs();
+    }
+
     const CacheStats &stats() const { return stats_; }
 
     /** Read-access hit fraction so far (0 when nothing was read). */

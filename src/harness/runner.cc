@@ -1,6 +1,5 @@
 #include "harness/runner.hh"
 
-#include <cassert>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -58,6 +57,27 @@ deriveSeed(const GridPoint &point)
     return splitMix64(state);
 }
 
+Experiment
+closedLoopPoint(GridPoint point, const Layout &layout,
+                const DeviceModel &device, ClosedLoopConfig workload,
+                ArrayConfig array)
+{
+    Experiment experiment;
+    experiment.point = std::move(point);
+    experiment.run = [&layout, &device, workload,
+                      array](uint64_t seed, const obs::Probe &probe,
+                             Extras &) {
+        ClosedLoopConfig config = workload;
+        config.seed = seed;
+        config.probe = probe;
+        ArrayConfig array_config = array;
+        array_config.probe = probe;
+        ClosedLoopClient client(config);
+        return runOnArray(layout, device, array_config, client);
+    };
+    return experiment;
+}
+
 ExperimentRunner::ExperimentRunner(int threads)
     : threads_(threads >= 1 ? threads : defaultThreads())
 {
@@ -79,29 +99,16 @@ ExperimentRunner::run(const std::vector<Experiment> &experiments) const
         out.point = experiment.point;
         out.seed = deriveSeed(experiment.point);
         const auto point_start = Clock::now();
-        if (experiment.custom) {
-            out.result = experiment.custom(out.seed, out.extras);
-        } else {
-            assert(experiment.layout != nullptr &&
-                   experiment.device != nullptr &&
-                   "experiment needs a layout/device or a custom fn");
-            SimConfig config = experiment.config;
-            config.seed = out.seed;
-            // One registry per point, written by exactly one worker:
-            // a single shard whose snapshot cannot depend on thread
-            // interleaving. The tracer (if any) observes only point
-            // 0 so the trace is one deterministic simulation.
-            obs::MetricsRegistry registry;
-            if (metrics_enabled_ || (tracer_ != nullptr && i == 0)) {
-                config.probe = obs::Probe(
-                    metrics_enabled_ ? &registry : nullptr,
-                    i == 0 ? tracer_ : nullptr);
-            }
-            out.result = runClosedLoop(*experiment.layout,
-                                       *experiment.device, config);
-            if (metrics_enabled_)
-                out.metrics = registry.snapshot();
-        }
+        // One registry per point, written by exactly one worker: a
+        // single shard whose snapshot cannot depend on thread
+        // interleaving. The tracer (if any) observes only point 0 so
+        // the trace is one deterministic simulation.
+        obs::MetricsRegistry registry;
+        const obs::Probe probe(metrics_enabled_ ? &registry : nullptr,
+                               i == 0 ? tracer_ : nullptr);
+        out.result = experiment.run(out.seed, probe, out.extras);
+        if (metrics_enabled_)
+            out.metrics = registry.snapshot();
         out.wall_ms =
             std::chrono::duration<double, std::milli>(Clock::now() -
                                                       point_start)

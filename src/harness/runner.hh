@@ -3,9 +3,11 @@
  * Parallel experiment runner for simulation grids.
  *
  * Every figure of the paper's evaluation is a grid of independent
- * closed-loop simulations (access size x client count x layout). The
- * runner executes grid points concurrently on a work-stealing pool
- * and guarantees that the aggregated results are bit-identical to a
+ * closed-loop simulations (access size x client count x layout). A
+ * grid point is its identity plus a closure that runs it
+ * (closedLoopPoint() builds the paper's closed-loop one). The runner
+ * executes grid points concurrently on a work-stealing pool and
+ * guarantees that the aggregated results are bit-identical to a
  * serial run:
  *
  *  - each point's RNG seed is derived from a stable hash of its
@@ -30,11 +32,12 @@
 #include <utility>
 #include <vector>
 
-#include "harness/json.hh"
+#include "array/controller.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "obs/probe.hh"
 #include "stats/tally.hh"
 #include "stats/welford.hh"
+#include "util/json.hh"
 #include "workload/closed_loop.hh"
 
 namespace pddl {
@@ -62,25 +65,33 @@ const char *arrayModeName(ArrayMode mode);
  */
 uint64_t deriveSeed(const GridPoint &point);
 
-/** Named extra metrics a custom experiment can report. */
+/** Named extra metrics a grid point can report. */
 using Extras = std::vector<std::pair<std::string, double>>;
 
 /** One schedulable grid point. */
 struct Experiment
 {
     GridPoint point;
-    /** Simulation parameters; `seed` is overwritten by the runner. */
-    SimConfig config;
-    /** Inputs of the default runClosedLoop execution. */
-    const Layout *layout = nullptr;
-    const DeviceModel *device = nullptr;
     /**
-     * Optional replacement for runClosedLoop (open-loop workloads,
-     * rebuild experiments, analytic sweeps). Receives the derived
-     * seed; may publish additional metrics through `extras`.
+     * Runs the point. Receives the seed derived from `point` and the
+     * point's probe (see ExperimentRunner); may publish additional
+     * metrics through `extras`.
      */
-    std::function<SimResult(uint64_t seed, Extras &extras)> custom;
+    std::function<SimResult(uint64_t seed, const obs::Probe &probe,
+                            Extras &extras)>
+        run;
 };
+
+/**
+ * The closed-loop grid point: `workload` against one fresh array
+ * (runOnArray) over `layout` and `device`, with the derived seed and
+ * the point's probe filled into both configs. The layout and device
+ * must outlive the run.
+ */
+Experiment closedLoopPoint(GridPoint point, const Layout &layout,
+                           const DeviceModel &device,
+                           ClosedLoopConfig workload,
+                           ArrayConfig array = {});
 
 /** Outcome of one grid point. */
 struct PointResult
@@ -117,17 +128,17 @@ class ExperimentRunner
     int threads() const { return threads_; }
 
     /**
-     * Collect a per-point metrics snapshot on the default
-     * runClosedLoop path. Each point writes its own registry (one
-     * writer, one shard) and snapshots are merged in submission
-     * order, so the output stays bit-identical across thread counts.
+     * Hand every point a probe on its own registry and keep its
+     * snapshot. Each point writes its own registry (one writer, one
+     * shard) and snapshots are merged in submission order, so the
+     * output stays bit-identical across thread counts.
      */
     void enableMetrics(bool on) { metrics_enabled_ = on; }
 
     /**
-     * Trace the first grid point into `tracer` (nullptr disables).
-     * Only point 0 records -- a single deterministic simulation --
-     * regardless of which worker executes it.
+     * Hand point 0's probe `tracer` (nullptr disables). Only point 0
+     * records -- a single deterministic simulation -- regardless of
+     * which worker executes it.
      */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 

@@ -21,6 +21,34 @@ defaultLatencyBoundsMs()
     return bounds;
 }
 
+HistogramData
+HistogramData::withBounds(const std::vector<double> &upper)
+{
+    HistogramData histogram;
+    histogram.bounds = upper;
+    histogram.counts.assign(upper.size() + 1, 0);
+    return histogram;
+}
+
+void
+HistogramData::add(double value_ms)
+{
+    assert(!bounds.empty() && "a histogram records into fixed buckets");
+    const size_t bucket =
+        std::upper_bound(bounds.begin(), bounds.end(), value_ms) -
+        bounds.begin();
+    ++counts[bucket];
+    if (count == 0) {
+        min = value_ms;
+        max = value_ms;
+    } else {
+        min = std::min(min, value_ms);
+        max = std::max(max, value_ms);
+    }
+    ++count;
+    sum += value_ms;
+}
+
 void
 HistogramData::merge(const HistogramData &other)
 {
@@ -256,25 +284,11 @@ MetricsRegistry::observe(const char *name, double value_ms)
     HistogramData &histogram =
         entry(localShard().histograms, name, HistogramData{});
     if (histogram.bounds.empty()) {
-        histogram.bounds = histogram_bounds_.empty()
-                               ? defaultLatencyBoundsMs()
-                               : histogram_bounds_;
-        histogram.counts.assign(histogram.bounds.size() + 1, 0);
+        histogram = HistogramData::withBounds(
+            histogram_bounds_.empty() ? defaultLatencyBoundsMs()
+                                      : histogram_bounds_);
     }
-    size_t bucket =
-        std::upper_bound(histogram.bounds.begin(),
-                         histogram.bounds.end(), value_ms) -
-        histogram.bounds.begin();
-    ++histogram.counts[bucket];
-    if (histogram.count == 0) {
-        histogram.min = value_ms;
-        histogram.max = value_ms;
-    } else {
-        histogram.min = std::min(histogram.min, value_ms);
-        histogram.max = std::max(histogram.max, value_ms);
-    }
-    ++histogram.count;
-    histogram.sum += value_ms;
+    histogram.add(value_ms);
 }
 
 void

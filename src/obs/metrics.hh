@@ -49,6 +49,12 @@ struct HistogramData
     double min = 0.0;
     double max = 0.0;
 
+    /** An empty histogram over `upper` (ascending bounds, ms). */
+    static HistogramData withBounds(const std::vector<double> &upper);
+
+    /** Record one sample (the histogram must have bounds). */
+    void add(double value_ms);
+
     void merge(const HistogramData &other);
 
     /**

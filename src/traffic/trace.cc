@@ -110,6 +110,7 @@ TraceReplayWorkload::start(EventQueue &events, Target &target)
     events_ = &events;
     target_ = &target;
     epoch_ms_ = events.now();
+    histogram_ = obs::HistogramData::withBounds(target.latencyBoundsMs());
     const int64_t data_units = target.dataUnits();
     for (size_t i = 0; i < records_.size(); ++i) {
         const TraceRecord &record = records_[i];
@@ -150,6 +151,7 @@ TraceReplayWorkload::issueReady()
                 if (completed_ > config_.discard) {
                     const double response = events_->now() - issued;
                     latency_.add(response);
+                    histogram_.add(response);
                     config_.probe.observe("client.latency_ms",
                                           response);
                 }

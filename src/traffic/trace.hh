@@ -110,6 +110,11 @@ class TraceCapture : public Target
         return backend_.accessesIssued();
     }
 
+    const std::vector<double> &latencyBoundsMs() const override
+    {
+        return backend_.latencyBoundsMs();
+    }
+
   private:
     EventQueue &events_;
     Target &backend_;
@@ -121,7 +126,7 @@ struct TraceReplayConfig
 {
     /** Completions discarded before measurement (cache cold start). */
     int64_t discard = 0;
-    /** Measured latencies feed the client.latency_ms histogram. */
+    /** Measured latencies are mirrored into client.latency_ms. */
     obs::Probe probe;
 };
 
@@ -147,6 +152,9 @@ class TraceReplayWorkload : public Workload
     /** Measured (post-discard) response-time aggregate. */
     const Welford &latency() const { return latency_; }
 
+    /** The same responses at the target's latency bounds. */
+    const obs::HistogramData &latencyHistogram() const { return histogram_; }
+
     /** Largest number of in-flight accesses observed. */
     int maxOutstanding() const { return max_outstanding_; }
 
@@ -163,6 +171,7 @@ class TraceReplayWorkload : public Workload
     int outstanding_ = 0;
     int max_outstanding_ = 0;
     Welford latency_;
+    obs::HistogramData histogram_;
 };
 
 } // namespace traffic

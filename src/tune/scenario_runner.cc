@@ -112,23 +112,6 @@ runScenario(const ScenarioSpec &spec,
         fault_schedulers.push_back(std::move(scheduler));
     }
 
-    // Client latencies land in one per-run registry: the
-    // client.latency_ms histogram is the only series read back
-    // below, so the probe goes to the clients alone (the cache
-    // tier's counts come from CacheStats). Histogram buckets are
-    // integer-counted, so the numbers are exact for any lane/thread
-    // arrangement.
-    // Histogram resolution is a property of the device classes
-    // present: a flash shard keeps sub-ms buckets, a pure-hdd volume
-    // the default mechanical bounds.
-    std::vector<const DeviceModel *> devices;
-    for (int s = 0; s < volume.shardCount(); ++s)
-        devices.push_back(&volume.shardDevice(s));
-    obs::MetricsRegistry registry;
-    registry.setHistogramBounds(
-        device::latencyBoundsForDevices(devices));
-    obs::Probe probe(&registry, nullptr);
-
     std::unique_ptr<cache::CacheTier> tier;
     if (spec.cache_enabled) {
         cache::CacheConfig cconfig;
@@ -160,13 +143,17 @@ runScenario(const ScenarioSpec &spec,
         workload_target = capture.get();
     }
 
+    // Tail quantiles come from the client's own latency histogram:
+    // integer bucket counts at the volume's drive resolution (a flash
+    // shard keeps sub-ms buckets), exact for any lane/thread
+    // arrangement and independent of whether probes are compiled in.
     ScenarioOutcome outcome;
+    obs::HistogramData latency;
     if (options.replay != nullptr && !options.replay->empty()) {
-        traffic::TraceReplayConfig rconfig;
-        rconfig.probe = probe;
-        traffic::TraceReplayWorkload replay(*options.replay, rconfig);
+        traffic::TraceReplayWorkload replay(*options.replay);
         startOnHub(replay, engine, *workload_target);
         engine.run();
+        latency = replay.latencyHistogram();
         outcome.mean_ms = replay.latency().mean();
         outcome.samples = replay.latency().count();
         outcome.max_outstanding = replay.maxOutstanding();
@@ -197,11 +184,11 @@ runScenario(const ScenarioSpec &spec,
         if (!traffic::parseOffsetSpec(spec.offsets, config.offsets,
                                       why))
             badSpec("offsets: " + why);
-        config.probe = probe;
 
         ClosedLoopClient client(config);
         startOnHub(client, engine, *workload_target);
         engine.run();
+        latency = client.latencyHistogram();
 
         SimResult result = client.result();
         outcome.mean_ms = result.mean_response_ms;
@@ -228,11 +215,11 @@ runScenario(const ScenarioSpec &spec,
         if (!traffic::parseArrivalSpec(spec.arrival, config.arrival,
                                        why))
             badSpec("arrival: " + why);
-        config.probe = probe;
 
         OpenLoopClient client(config);
         startOnHub(client, engine, *workload_target);
         engine.run();
+        latency = client.latencyHistogram();
 
         OpenLoopResult result = client.result();
         outcome.mean_ms = result.mean_response_ms;
@@ -241,15 +228,10 @@ runScenario(const ScenarioSpec &spec,
         outcome.max_outstanding = result.max_outstanding;
     }
 
-    obs::MetricsSnapshot snapshot = registry.snapshot();
-    const obs::HistogramData *latency =
-        snapshot.histogram("client.latency_ms");
-    if (latency != nullptr) {
-        outcome.p50_ms = latency->quantile(0.50);
-        outcome.p95_ms = latency->quantile(0.95);
-        outcome.p99_ms = latency->quantile(0.99);
-        outcome.p999_ms = latency->quantile(0.999);
-    }
+    outcome.p50_ms = latency.quantile(0.50);
+    outcome.p95_ms = latency.quantile(0.95);
+    outcome.p99_ms = latency.quantile(0.99);
+    outcome.p999_ms = latency.quantile(0.999);
     outcome.backend_accesses =
         static_cast<int64_t>(volume.volumeAccessesIssued());
     outcome.capacity_units = volume.dataUnits();

@@ -379,6 +379,12 @@ VolumeManager::accessesIssued() const
     return total;
 }
 
+const std::vector<double> &
+VolumeManager::latencyBoundsMs() const
+{
+    return device::latencyBoundsForDevices(devices_);
+}
+
 int
 VolumeManager::degradedShards() const
 {

@@ -244,6 +244,7 @@ class VolumeManager : public Target
                 InlineCallback done) override;
     SeekTally aggregateTally() const override;
     uint64_t accessesIssued() const override;
+    const std::vector<double> &latencyBoundsMs() const override;
 
     /** Shard-local home of volume data unit `unit`. */
     VolumeAddress route(int64_t unit) const;

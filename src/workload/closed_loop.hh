@@ -12,9 +12,8 @@
  *
  * ClosedLoopClient is the Workload-interface driver: it runs against
  * any Target (a single ArrayController or a sharded VolumeManager).
- * runClosedLoop() remains the single-array convenience wrapper every
- * figure bench uses; it builds the array from a SimConfig and drives
- * a ClosedLoopClient against it.
+ * A figure grid point drives one on a fresh array through
+ * runOnArray() (workload/workload.hh).
  */
 
 #ifndef PDDL_WORKLOAD_CLOSED_LOOP_HH
@@ -25,7 +24,6 @@
 
 #include "array/request_mapper.hh"
 #include "disk/disk.hh"
-#include "layout/layout.hh"
 #include "obs/probe.hh"
 #include "stats/welford.hh"
 #include "traffic/offset_dist.hh"
@@ -37,8 +35,8 @@ namespace pddl {
 /**
  * Workload-only knobs of the closed loop (named-parameter style:
  * designated initializers cover any subset). Array construction
- * knobs live in ArrayConfig / SimConfig, not here -- a client can be
- * pointed at any Target.
+ * knobs live in ArrayConfig, not here -- a client can be pointed at
+ * any Target.
  */
 struct ClosedLoopConfig
 {
@@ -72,9 +70,9 @@ struct ClosedLoopConfig
     traffic::OffsetSpec offsets;
 
     /**
-     * Instrumentation: each measured response also feeds the
-     * client.latency_ms histogram (the bench tail-latency columns).
-     * Default off; the sinks must outlive the run.
+     * Instrumentation: each measured response is mirrored into the
+     * probe's client.latency_ms histogram. Default off; the sinks
+     * must outlive the run.
      */
     obs::Probe probe;
 };
@@ -113,6 +111,13 @@ class ClosedLoopClient : public Workload
     /** Measured outcome; valid once the event loop has drained. */
     SimResult result() const;
 
+    /**
+     * Measured responses, bucketed at the target's latency bounds:
+     * the source of every tail-latency quantile, kept whether or not
+     * observability is compiled in.
+     */
+    const obs::HistogramData &latencyHistogram() const { return latency_; }
+
   private:
     /**
      * Sticky stop decision: the confidence test can flicker (pass at
@@ -130,6 +135,7 @@ class ClosedLoopClient : public Workload
     std::optional<traffic::OffsetSampler> offsets_;
 
     Welford response_;
+    obs::HistogramData latency_;
     int64_t completions_ = 0;
     int64_t discarded_ = 0;
     bool measuring_ = false;
@@ -140,50 +146,6 @@ class ClosedLoopClient : public Workload
     SeekTally tally_at_start_;
     int64_t accesses_at_start_ = 0;
 };
-
-/**
- * One single-array experiment configuration: the workload knobs plus
- * the array construction knobs runClosedLoop() needs to build the
- * ArrayController the client population drives.
- */
-struct SimConfig
-{
-    int clients = 1;
-    /** Access size in stripe units (8 KB units in the paper). */
-    int access_units = 1;
-    AccessType type = AccessType::Read;
-    ArrayMode mode = ArrayMode::FaultFree;
-    int failed_disk = 0; ///< used when mode != FaultFree
-    int unit_sectors = 16;
-    int sstf_window = 20;
-
-    /** Stopping rule: relative CI half-width at 95% confidence. */
-    double relative_tolerance = 0.02;
-    int64_t min_samples = 400;
-    int64_t max_samples = 200000;
-    /** Completions discarded before measurement starts. */
-    int64_t warmup = 200;
-    uint64_t seed = 42;
-
-    /**
-     * Instrumentation sinks, threaded to the event queue, controller,
-     * mapper and every disk. Default: fully off.
-     */
-    obs::Probe probe;
-
-    /** The workload-only projection (feeds ClosedLoopClient). */
-    ClosedLoopConfig workload() const;
-};
-
-/**
- * Run one closed-loop experiment on a fresh simulated array.
- *
- * Deterministic per configuration (seeded RNG, deterministic event
- * ordering).
- */
-SimResult runClosedLoop(const Layout &layout,
-                        const DeviceModel &device,
-                        const SimConfig &config);
 
 } // namespace pddl
 

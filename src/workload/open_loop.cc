@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstddef>
 
-#include "array/controller.hh"
 #include "sim/event_queue.hh"
 
 namespace pddl {
@@ -56,6 +55,7 @@ OpenLoopClient::arrive()
                             double response = events_->now() - issued;
                             responses_.push_back(response);
                             response_sum_ += response;
+                            latency_.add(response);
                             config_.probe.observe("client.latency_ms",
                                                   response);
                             last_completion_ = events_->now();
@@ -72,6 +72,7 @@ OpenLoopClient::start(EventQueue &events, Target &target)
     events_ = &events;
     target_ = &target;
     offsets_.emplace(config_.offsets, target.dataUnits());
+    latency_ = obs::HistogramData::withBounds(target.latencyBoundsMs());
     events_->scheduleAfter(arrival_->nextGapMs(rng_, events_->now()),
                            [this] { arrive(); });
 }
@@ -103,25 +104,6 @@ OpenLoopClient::result() const
         }
     }
     return result;
-}
-
-OpenLoopResult
-runOpenLoop(const Layout &layout, const DeviceModel &device,
-            const OpenLoopSimConfig &config)
-{
-    EventQueue events;
-    ArrayConfig array_config;
-    array_config.unit_sectors = config.unit_sectors;
-    array_config.mode = config.mode;
-    array_config.failed_disk =
-        config.mode == ArrayMode::FaultFree ? -1 : config.failed_disk;
-    array_config.sstf_window = config.sstf_window;
-    ArrayController array(events, layout, device, array_config);
-
-    OpenLoopClient client(config.workload);
-    client.start(events, array);
-    events.runUntilEmpty();
-    return client.result();
 }
 
 } // namespace pddl

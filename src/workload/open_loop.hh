@@ -11,8 +11,8 @@
  * loop, the offered load does not throttle itself when the target
  * saturates.
  *
- * OpenLoopClient is the Workload-interface driver (any Target);
- * runOpenLoop() is the single-array convenience wrapper.
+ * OpenLoopClient is the Workload-interface driver (any Target); on
+ * one fresh array it runs through runOnArray() (workload/workload.hh).
  */
 
 #ifndef PDDL_WORKLOAD_OPEN_LOOP_HH
@@ -24,7 +24,6 @@
 
 #include "array/request_mapper.hh"
 #include "disk/disk.hh"
-#include "layout/layout.hh"
 #include "obs/probe.hh"
 #include "stats/welford.hh"
 #include "traffic/arrival.hh"
@@ -44,7 +43,7 @@ struct AccessMixEntry
 
 /**
  * Workload-only knobs of the open loop (named-parameter style).
- * Array construction knobs live in OpenLoopSimConfig, not here.
+ * Array construction knobs live in ArrayConfig, not here.
  */
 struct OpenLoopConfig
 {
@@ -63,9 +62,9 @@ struct OpenLoopConfig
     traffic::ArrivalSpec arrival;
 
     /**
-     * Instrumentation: each measured response also feeds the
-     * client.latency_ms histogram (the bench tail-latency columns).
-     * Default off; the sinks must outlive the run.
+     * Instrumentation: each measured response is mirrored into the
+     * probe's client.latency_ms histogram. Default off; the sinks
+     * must outlive the run.
      */
     obs::Probe probe;
 };
@@ -105,6 +104,9 @@ class OpenLoopClient : public Workload
      */
     OpenLoopResult result() const;
 
+    /** Measured responses at the target's latency bounds. */
+    const obs::HistogramData &latencyHistogram() const { return latency_; }
+
   private:
     void arrive();
 
@@ -122,34 +124,13 @@ class OpenLoopClient : public Workload
     mutable std::vector<double> responses_;
     /** Sum of responses_ in completion order (the mean's fold). */
     double response_sum_ = 0.0;
+    obs::HistogramData latency_;
     int64_t arrivals_ = 0;
     int outstanding_ = 0;
     int max_outstanding_ = 0;
     SimTime measure_start_ = 0.0;
     SimTime last_completion_ = 0.0;
 };
-
-/**
- * One single-array open-loop experiment: the workload knobs plus the
- * array construction knobs runOpenLoop() needs.
- */
-struct OpenLoopSimConfig
-{
-    /** The client population (named-parameter workload knobs). */
-    OpenLoopConfig workload;
-    ArrayMode mode = ArrayMode::FaultFree;
-    int failed_disk = 0;
-    int unit_sectors = 16;
-    int sstf_window = 20;
-};
-
-/**
- * Run one open-loop experiment on a fresh simulated array.
- * Deterministic per configuration.
- */
-OpenLoopResult runOpenLoop(const Layout &layout,
-                           const DeviceModel &device,
-                           const OpenLoopSimConfig &config);
 
 } // namespace pddl
 

@@ -9,16 +9,18 @@
  * whatever mission shape the experiment needs) and reads the
  * workload's measured outcome afterwards.
  *
- * This replaces the former ad-hoc pairing of runClosedLoop /
- * runOpenLoop free functions with their private driver state: every
- * bench and test drives a single array or a whole volume through the
- * same API (the run* single-array wrappers remain as conveniences
- * built on top).
+ * Every bench and test drives a single array or a whole volume
+ * through this one API. runOnArray() is the one single-array run: it
+ * builds the queue and the array, starts the client, drains and
+ * returns the client's result.
  */
 
 #ifndef PDDL_WORKLOAD_WORKLOAD_HH
 #define PDDL_WORKLOAD_WORKLOAD_HH
 
+#include <type_traits>
+
+#include "array/controller.hh"
 #include "array/target.hh"
 #include "sim/event_queue.hh"
 
@@ -56,6 +58,30 @@ class Workload
  */
 void startOnHub(Workload &workload, ParallelEngine &engine,
                 Target &target);
+
+/**
+ * Run `client` to drain on one fresh array -- an EventQueue whose
+ * probe is `config.probe` and an ArrayController over `layout` and
+ * `device` -- and return client.result(). The result is read before
+ * the array is torn down, because a closed loop's seek averages come
+ * from the array's disks; afterwards only the client's own state
+ * (its latency histogram) is valid. A pure function of its inputs
+ * and the client's seed.
+ */
+template <typename Client>
+auto
+runOnArray(const Layout &layout, const DeviceModel &device,
+           const ArrayConfig &config, Client &client)
+{
+    static_assert(std::is_base_of_v<Workload, Client>,
+                  "runOnArray drives a Workload");
+    EventQueue events;
+    events.setProbe(config.probe);
+    ArrayController array(events, layout, device, config);
+    client.start(events, array);
+    events.runUntilEmpty();
+    return client.result();
+}
 
 } // namespace pddl
 

@@ -20,6 +20,8 @@
 #include "harness/runner.hh"
 #include "harness/thread_pool.hh"
 #include "layout/raid5.hh"
+#include "obs/probe.hh"
+#include "util/rng.hh"
 
 namespace pddl {
 namespace {
@@ -28,7 +30,6 @@ using harness::deriveSeed;
 using harness::Experiment;
 using harness::ExperimentRunner;
 using harness::GridPoint;
-using harness::Json;
 using harness::RunSummary;
 using harness::ThreadPool;
 
@@ -147,18 +148,17 @@ smallGrid(const Layout &layout, const DeviceModel &model)
     std::vector<Experiment> experiments;
     for (int clients : {1, 4, 8}) {
         for (AccessType type : {AccessType::Read, AccessType::Write}) {
-            Experiment experiment;
-            experiment.point = {"Harness test", layout.name(), 16,
-                                clients, type, ArrayMode::FaultFree};
-            experiment.config.clients = clients;
-            experiment.config.access_units = 2;
-            experiment.config.type = type;
-            experiment.config.min_samples = 60;
-            experiment.config.max_samples = 200;
-            experiment.config.warmup = 20;
-            experiment.layout = &layout;
-            experiment.device = &model;
-            experiments.push_back(std::move(experiment));
+            ClosedLoopConfig workload;
+            workload.clients = clients;
+            workload.access_units = 2;
+            workload.type = type;
+            workload.min_samples = 60;
+            workload.max_samples = 200;
+            workload.warmup = 20;
+            experiments.push_back(harness::closedLoopPoint(
+                {"Harness test", layout.name(), 16, clients, type,
+                 ArrayMode::FaultFree},
+                layout, model, workload));
         }
     }
     return experiments;
@@ -204,7 +204,8 @@ TEST(ExperimentRunner, CustomExperimentsReceiveTheDerivedSeed)
     Experiment experiment;
     experiment.point = {"Custom", "analytic", 0, 0, AccessType::Read,
                         ArrayMode::FaultFree};
-    experiment.custom = [](uint64_t seed, harness::Extras &extras) {
+    experiment.run = [](uint64_t seed, const obs::Probe &,
+                        harness::Extras &extras) {
         extras.emplace_back("seed_lo32",
                             static_cast<double>(seed & 0xffffffffu));
         SimResult result;
@@ -218,6 +219,50 @@ TEST(ExperimentRunner, CustomExperimentsReceiveTheDerivedSeed)
     ASSERT_EQ(point.extras.size(), 1u);
     EXPECT_EQ(point.extras[0].second,
               static_cast<double>(point.seed & 0xffffffffu));
+}
+
+TEST(ExperimentRunner, ClosureMetricsMatchAcrossThreadCounts)
+{
+    // Closure-only points (no closed loop): each records through the
+    // probe the runner hands it, and its snapshot is its own.
+    std::vector<Experiment> experiments;
+    for (int i = 0; i < 12; ++i) {
+        Experiment experiment;
+        experiment.point = {"Probe grid", "closure", i, 0,
+                            AccessType::Read, ArrayMode::FaultFree};
+        experiment.run = [](uint64_t seed, const obs::Probe &probe,
+                            harness::Extras &) {
+            Rng rng(seed);
+            for (int s = 0; s < 200; ++s)
+                probe.observe("closure.sample_ms", 50.0 * rng.uniform());
+            probe.count("closure.runs");
+            SimResult result;
+            result.samples = 200;
+            return result;
+        };
+        experiments.push_back(std::move(experiment));
+    }
+
+    ExperimentRunner serial(1);
+    ExperimentRunner parallel(4);
+    serial.enableMetrics(true);
+    parallel.enableMetrics(true);
+    RunSummary one = serial.run(experiments);
+    RunSummary four = parallel.run(experiments);
+    ASSERT_EQ(one.points.size(), experiments.size());
+    ASSERT_EQ(four.points.size(), experiments.size());
+    for (size_t i = 0; i < experiments.size(); ++i) {
+        const obs::MetricsSnapshot &a = one.points[i].metrics;
+        const obs::MetricsSnapshot &b = four.points[i].metrics;
+        EXPECT_EQ(a.toJson().dump(0), b.toJson().dump(0)) << "point " << i;
+        if (obs::kObsEnabled) {
+            ASSERT_NE(a.histogram("closure.sample_ms"), nullptr);
+            EXPECT_EQ(a.histogram("closure.sample_ms")->count, 200);
+            EXPECT_EQ(a.counter("closure.runs"), 1.0);
+        } else {
+            EXPECT_TRUE(a.empty());
+        }
+    }
 }
 
 TEST(FigureSlug, NormalizesCaptionsToFileNames)

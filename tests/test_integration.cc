@@ -35,7 +35,7 @@ TEST_P(AnalyzerVsSimulator, NonLocalSeeksMatchWorkingSet)
     PddlLayout layout = PddlLayout::make(13, 4);
     double analytic = averageWorkingSet(layout, units, type);
 
-    SimConfig config;
+    ClosedLoopConfig config;
     // Writes are two-phase (pre-read then overwrite on the same
     // disks); with concurrent clients the interleaving reclassifies
     // some second-phase operations as non-local, so the exact
@@ -49,8 +49,9 @@ TEST_P(AnalyzerVsSimulator, NonLocalSeeksMatchWorkingSet)
     config.min_samples = 400;
     config.max_samples = 3000;
     config.warmup = 150;
+    ClosedLoopClient client(config);
     SimResult measured =
-        runClosedLoop(layout, device::hp2247(), config);
+        runOnArray(layout, device::hp2247(), ArrayConfig{}, client);
 
     EXPECT_NEAR(measured.non_local_seeks, analytic,
                 0.05 * analytic + 0.25)
@@ -75,7 +76,7 @@ TEST(Integration, TotalOpsMatchAnalyticExpansion)
     double analytic =
         averagePhysicalOps(layout, units, AccessType::Write);
 
-    SimConfig config;
+    ClosedLoopConfig config;
     config.clients = 4;
     config.access_units = units;
     config.type = AccessType::Write;
@@ -83,8 +84,9 @@ TEST(Integration, TotalOpsMatchAnalyticExpansion)
     config.min_samples = 400;
     config.max_samples = 3000;
     config.warmup = 150;
+    ClosedLoopClient client(config);
     SimResult measured =
-        runClosedLoop(layout, device::hp2247(), config);
+        runOnArray(layout, device::hp2247(), ArrayConfig{}, client);
     double total = measured.non_local_seeks +
                    measured.cylinder_switches +
                    measured.track_switches + measured.no_switches;
@@ -141,7 +143,7 @@ TEST(Integration, DatumWorkingSetDrivesItsHeavyLoadAdvantage)
     ASSERT_LT(averageWorkingSet(datum, units, AccessType::Read),
               averageWorkingSet(raid5, units, AccessType::Read));
 
-    SimConfig config;
+    ClosedLoopConfig config;
     config.clients = 25;
     config.access_units = units;
     config.type = AccessType::Read;
@@ -149,10 +151,12 @@ TEST(Integration, DatumWorkingSetDrivesItsHeavyLoadAdvantage)
     config.min_samples = 400;
     config.max_samples = 3000;
     config.warmup = 200;
-    SimResult datum_result =
-        runClosedLoop(datum, device::hp2247(), config);
-    SimResult raid5_result =
-        runClosedLoop(raid5, device::hp2247(), config);
+    ClosedLoopClient datum_client(config);
+    SimResult datum_result = runOnArray(datum, device::hp2247(),
+                                        ArrayConfig{}, datum_client);
+    ClosedLoopClient raid5_client(config);
+    SimResult raid5_result = runOnArray(raid5, device::hp2247(),
+                                        ArrayConfig{}, raid5_client);
     EXPECT_LT(datum_result.mean_response_ms,
               raid5_result.mean_response_ms);
 }

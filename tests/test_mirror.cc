@@ -160,13 +160,16 @@ TEST(Mirror, ClosedLoopRunsDeterministicallyUnderEachScheduler)
          {ReplicaSched::Primary, ReplicaSched::RoundRobin,
           ReplicaSched::ShortestQueue}) {
         MirrorLayout layout(26, 2, sched);
-        SimConfig config;
+        ClosedLoopConfig config;
         config.clients = 4;
         config.min_samples = 200;
         config.max_samples = 400;
         config.warmup = 50;
-        SimResult first = runClosedLoop(layout, model, config);
-        SimResult again = runClosedLoop(layout, model, config);
+        ArrayConfig array;
+        ClosedLoopClient first_client(config);
+        SimResult first = runOnArray(layout, model, array, first_client);
+        ClosedLoopClient again_client(config);
+        SimResult again = runOnArray(layout, model, array, again_client);
         EXPECT_GT(first.samples, 0);
         EXPECT_GT(first.mean_response_ms, 0.0);
         EXPECT_EQ(first.mean_response_ms, again.mean_response_ms)
@@ -174,9 +177,11 @@ TEST(Mirror, ClosedLoopRunsDeterministicallyUnderEachScheduler)
         EXPECT_EQ(first.samples, again.samples);
 
         // And degraded service stays up on the surviving copies.
-        config.mode = ArrayMode::Degraded;
-        config.failed_disk = 3;
-        SimResult degraded = runClosedLoop(layout, model, config);
+        array.mode = ArrayMode::Degraded;
+        array.failed_disk = 3;
+        ClosedLoopClient degraded_client(config);
+        SimResult degraded =
+            runOnArray(layout, model, array, degraded_client);
         EXPECT_GT(degraded.samples, 0);
     }
 }

@@ -17,22 +17,31 @@
 namespace pddl {
 namespace {
 
-OpenLoopSimConfig
+OpenLoopConfig
 fastConfig()
 {
-    OpenLoopSimConfig config;
-    config.workload.samples = 800;
-    config.workload.warmup = 100;
+    OpenLoopConfig config;
+    config.samples = 800;
+    config.warmup = 100;
     return config;
+}
+
+/** Drain one open loop on a fresh array of the paper's drives. */
+OpenLoopResult
+runOpen(const Layout &layout, const OpenLoopConfig &config,
+        const ArrayConfig &array = {})
+{
+    OpenLoopClient client(config);
+    return runOnArray(layout, device::hp2247(), array, client);
 }
 
 TEST(OpenLoop, CompletesAllSamples)
 {
     Raid5Layout raid5(13);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 50.0;
-    OpenLoopResult r = runOpenLoop(raid5, device::hp2247(), config);
-    EXPECT_EQ(r.samples, config.workload.samples);
+    OpenLoopConfig config = fastConfig();
+    config.arrivals_per_s = 50.0;
+    OpenLoopResult r = runOpen(raid5, config);
+    EXPECT_EQ(r.samples, config.samples);
     EXPECT_GT(r.mean_response_ms, 5.0);
     EXPECT_GE(r.p95_response_ms, r.mean_response_ms);
     EXPECT_GE(r.max_response_ms, r.p95_response_ms);
@@ -41,12 +50,12 @@ TEST(OpenLoop, CompletesAllSamples)
 TEST(OpenLoop, DeterministicPerSeed)
 {
     Raid5Layout raid5(13);
-    OpenLoopSimConfig config = fastConfig();
-    OpenLoopResult a = runOpenLoop(raid5, device::hp2247(), config);
-    OpenLoopResult b = runOpenLoop(raid5, device::hp2247(), config);
+    OpenLoopConfig config = fastConfig();
+    OpenLoopResult a = runOpen(raid5, config);
+    OpenLoopResult b = runOpen(raid5, config);
     EXPECT_DOUBLE_EQ(a.mean_response_ms, b.mean_response_ms);
-    config.workload.seed += 1;
-    OpenLoopResult c = runOpenLoop(raid5, device::hp2247(), config);
+    config.seed += 1;
+    OpenLoopResult c = runOpen(raid5, config);
     EXPECT_NE(a.mean_response_ms, c.mean_response_ms);
 }
 
@@ -55,14 +64,12 @@ TEST(OpenLoop, LatencyExplodesNearSaturation)
     // Unlike the closed loop, offered load is independent of service
     // rate: queues (and response times) grow sharply near capacity.
     Raid5Layout raid5(13);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 50.0;
-    OpenLoopResult light = runOpenLoop(raid5, device::hp2247(),
-                                       config);
+    OpenLoopConfig config = fastConfig();
+    config.arrivals_per_s = 50.0;
+    OpenLoopResult light = runOpen(raid5, config);
     // beyond ~13 disks' service rate
-    config.workload.arrivals_per_s = 900.0;
-    OpenLoopResult heavy = runOpenLoop(raid5, device::hp2247(),
-                                       config);
+    config.arrivals_per_s = 900.0;
+    OpenLoopResult heavy = runOpen(raid5, config);
     EXPECT_GT(heavy.mean_response_ms, 2.0 * light.mean_response_ms);
     EXPECT_GT(heavy.max_outstanding, light.max_outstanding);
 }
@@ -70,38 +77,72 @@ TEST(OpenLoop, LatencyExplodesNearSaturation)
 TEST(OpenLoop, ThroughputTracksOfferedLoadBelowSaturation)
 {
     Raid5Layout raid5(13);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 100.0;
-    OpenLoopResult r = runOpenLoop(raid5, device::hp2247(), config);
+    OpenLoopConfig config = fastConfig();
+    config.arrivals_per_s = 100.0;
+    OpenLoopResult r = runOpen(raid5, config);
     EXPECT_NEAR(r.completed_per_s, 100.0, 15.0);
 }
 
 TEST(OpenLoop, MixedProfileRuns)
 {
     PddlLayout pddl = PddlLayout::make(13, 4);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 60.0;
+    OpenLoopConfig config = fastConfig();
+    config.arrivals_per_s = 60.0;
     // 70% 8 KB reads, 20% 24 KB writes, 10% 96 KB reads.
-    config.workload.mix = {
+    config.mix = {
         AccessMixEntry{1, AccessType::Read, 0.7},
         AccessMixEntry{3, AccessType::Write, 0.2},
         AccessMixEntry{12, AccessType::Read, 0.1},
     };
-    OpenLoopResult r = runOpenLoop(pddl, device::hp2247(), config);
-    EXPECT_EQ(r.samples, config.workload.samples);
+    OpenLoopResult r = runOpen(pddl, config);
+    EXPECT_EQ(r.samples, config.samples);
     EXPECT_GT(r.mean_response_ms, 0.0);
 }
 
 TEST(OpenLoop, DegradedModeSlower)
 {
     PddlLayout pddl = PddlLayout::make(13, 4);
-    OpenLoopSimConfig config = fastConfig();
-    config.workload.arrivals_per_s = 150.0;
-    OpenLoopResult ff = runOpenLoop(pddl, device::hp2247(), config);
-    config.mode = ArrayMode::Degraded;
-    config.failed_disk = 0;
-    OpenLoopResult f1 = runOpenLoop(pddl, device::hp2247(), config);
+    OpenLoopConfig config = fastConfig();
+    config.arrivals_per_s = 150.0;
+    OpenLoopResult ff = runOpen(pddl, config);
+    ArrayConfig array;
+    array.mode = ArrayMode::Degraded;
+    array.failed_disk = 0;
+    OpenLoopResult f1 = runOpen(pddl, config, array);
     EXPECT_GT(f1.mean_response_ms, ff.mean_response_ms);
+}
+
+TEST(OpenLoop, RunOnArrayFeedsTheArrayProbe)
+{
+    if (!obs::kObsEnabled)
+        GTEST_SKIP() << "hooks compiled out (PDDL_OBS=OFF)";
+    // The one probe reaches the client, the event queue, the array
+    // and every disk: ArrayConfig::probe is what runOnArray threads.
+    PddlLayout pddl = PddlLayout::make(13, 4);
+    obs::MetricsRegistry registry;
+    const obs::Probe probe(&registry, nullptr);
+    OpenLoopConfig config = fastConfig();
+    config.probe = probe;
+    ArrayConfig array;
+    array.probe = probe;
+    OpenLoopResult r = runOpen(pddl, config, array);
+
+    const obs::MetricsSnapshot snapshot = registry.snapshot();
+    const obs::HistogramData *client =
+        snapshot.histogram("client.latency_ms");
+    ASSERT_NE(client, nullptr);
+    EXPECT_EQ(client->count, r.samples);
+    const obs::HistogramData *accesses =
+        snapshot.histogram("array.access_ms");
+    ASSERT_NE(accesses, nullptr);
+    EXPECT_EQ(accesses->count, config.warmup + config.samples);
+    const obs::HistogramData *service =
+        snapshot.histogram("disk.service_ms");
+    ASSERT_NE(service, nullptr);
+    EXPECT_GE(service->count, accesses->count);
+    EXPECT_EQ(snapshot.counter("array.reads"),
+              static_cast<double>(config.warmup + config.samples));
+    EXPECT_GT(snapshot.counter("sim.events"), 0.0);
 }
 
 /**

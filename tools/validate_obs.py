@@ -9,7 +9,10 @@ the docs promise:
     named lanes;
  2. the metrics file is a valid pddl-metrics-v1 document with sorted
     series names and internally consistent histograms;
- 3. the BENCH JSON (rows + embedded metrics) is bit-identical between
+ 3. every BENCH row's embedded metrics carry the client.latency_ms
+    series, with one sample per measured completion (its count equals
+    the row's samples);
+ 4. the BENCH JSON (rows + embedded metrics) is bit-identical between
     --threads=1 and --threads=N once the documented wall-clock fields
     (wall_time_s, threads, wall_ms) are stripped.
 
@@ -145,6 +148,25 @@ def validate_metrics(path):
           f"{len(metrics.get('histograms', {}))} histograms)")
 
 
+def validate_client_latency(out_dir):
+    rows = 0
+    for path in sorted(out_dir.glob("BENCH_*.json")):
+        with open(path) as fh:
+            doc = json.load(fh)
+        for index, row in enumerate(doc.get("rows", [])):
+            where = f"{path.name} row {index} ({row.get('layout')!r})"
+            histograms = row.get("metrics", {}).get("histograms", {})
+            latency = histograms.get("client.latency_ms")
+            check(latency is not None,
+                  f"{where}: no client.latency_ms in its metrics")
+            check(latency["count"] == row["samples"],
+                  f"{where}: client.latency_ms count "
+                  f"{latency['count']} != samples {row['samples']}")
+            rows += 1
+    check(rows, f"no BENCH rows in {out_dir}")
+    print(f"validate_obs: client latency OK ({rows} rows)")
+
+
 def strip_wall(value):
     if isinstance(value, dict):
         return {k: strip_wall(v) for k, v in value.items()
@@ -182,6 +204,7 @@ def main():
                            trace=True, metrics=True)
         validate_trace(serial / "trace.json")
         validate_metrics(serial / "metrics.json")
+        validate_client_latency(serial)
 
         parallel = run_bench(binary, scratch / "parallel",
                              threads=args.threads, metrics=True)
